@@ -1,9 +1,9 @@
 """Resistance distances and Kirchhoff indices of edge-replacement transforms.
 
 The quadrilateral transform turns every edge into a 4-cycle, the pentagonal
-one into a 5-cycle.  A structured block {1}-inverse of the transformed
-Laplacian is assembled from factor-graph data alone (one group inverse plus
-one small LU solve), and an independent brute-force oracle checks it.
+one into a 5-cycle.  A {1}-inverse of the transformed Laplacian follows in
+closed form from the factor Laplacian's group inverse plus per-edge
+constants, and an independent brute-force oracle checks it.
 """
 
 from .graph import (

@@ -56,10 +56,6 @@ def _resolve(args: argparse.Namespace, name: str, cast: Callable):
         ) from None
 
 
-def _cast_kind(raw: str) -> TransformKind:
-    return TransformKind(raw)
-
-
 def _resolve_kind(args: argparse.Namespace, allow_none: bool = False):
     value = getattr(args, "kind")
     if value is None:
@@ -147,7 +143,8 @@ def cmd_resist(args: argparse.Namespace) -> int:
         if not report.passed:
             print(
                 f"self-check failed: overall delta {report.overall_max:.3e}, "
-                f"kirchhoff delta {report.kirchhoff_delta:.3e}",
+                f"kirchhoff delta {report.kirchhoff_delta:.3e} "
+                f"(relative {report.kirchhoff_rel_delta:.3e})",
                 file=sys.stderr,
             )
             exit_code = 1

@@ -1,9 +1,9 @@
 """Dense real-matrix helpers.
 
 LU inversion with an explicit pivot-based singularity test, group inverses of
-connected-graph Laplacians, and the symmetric two-by-two block {1}-inverse
-used by the structured engine.  Factorizations are delegated to LAPACK via
-scipy; this module owns the contracts, not the arithmetic.
+connected-graph Laplacians, and the general symmetric two-by-two block
+{1}-inverse.  Factorizations are delegated to LAPACK via scipy; this module
+owns the contracts, not the arithmetic.
 """
 
 from __future__ import annotations

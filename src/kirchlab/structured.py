@@ -1,20 +1,15 @@
-"""Structured {1}-inverse of a transformed graph's Laplacian.
+"""Implicit {1}-inverse of a transformed graph's Laplacian.
 
-Everything is computed from the factor graph alone; the transformed graph is
-never materialized here.  Ordered by the flat id layout, the transform's
-Laplacian has the block shape [[A, B], [B^T, D]] with
+With k path vertices per edge, detour length l = k + 1 and s = l / (l + 1),
+the Schur complement of the transform Laplacian's path block is L / s, and
 
-    A = 2 deg - adj              (n x n, over the factor graph)
-    B = [-b1, -b2]               (quadrilateral)   or
-        [-b1, 0, -b2]            (pentagonal)
-    D = path-chain Laplacian-plus-identity blocks, kron(T_k, I_m) with
-        T_2 = [[2,-1],[-1,2]],  T_3 = [[2,-1,0],[-1,2,-1],[0,-1,2]].
+    X = s P^T L^# P + blkdiag(0, kron(T_k^{-1}, I_m))
 
-The Schur complement A - B D^{-1} B^T collapses, via the incidence split
-identities, to a scalar multiple of the factor Laplacian: (4/3) L for the
-quadrilateral transform and (5/4) L for the pentagonal one.  Its group
-inverse is therefore the matching scalar multiple of L^#, so the whole block
-{1}-inverse costs one group inverse of L plus one small LU solve for D.
+with L^# the factor Laplacian's group inverse, T_k = tridiag(-1, 2, -1) of
+order k, and P the n x N barycentric weights: e_u for an original vertex u,
+((l - j) / l) e_u + (j / l) e_v for path vertex j of edge (u, v), u the tail.
+Only L^# and the edge endpoints are stored: a resistance costs O(1), the
+Kirchhoff index O(n^2 + m), and the resistance matrix its own O(N^2).
 """
 
 from __future__ import annotations
@@ -23,100 +18,93 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DisconnectedGraphError, Graph, incidence_split, is_connected, laplacian
-from .linalg import all_ones_sum, group_inverse_laplacian, invert, trace
+from .graph import DisconnectedGraphError, Graph, is_connected, laplacian
+from .linalg import group_inverse_laplacian
 from .transforms import TransformKind, VertexClass, flat_id
 
-_PATH_CHAIN = {
-    2: np.array([[2.0, -1.0], [-1.0, 2.0]]),
-    3: np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]),
-}
+
+def path_chain_inverse(k: int) -> np.ndarray:
+    """Inverse of tridiag(-1, 2, -1) of order k: min(i, j) (l - max(i, j)) / l."""
+    j = np.arange(1, k + 1)
+    return np.minimum.outer(j, j) * (k + 1 - np.maximum.outer(j, j)) / (k + 1)
 
 
 @dataclass(frozen=True)
 class StructuredOneInverse:
-    """Block {1}-inverse of a transform's Laplacian, plus its ingredients.
-
-    ``full`` is the assembled symmetric matrix
-
-        [[ top_left_scale * lg_sharp,  corner ],
-         [ corner^T,                   lower  ]]
-
-    indexed by the flat id layout of :mod:`kirchlab.transforms`.
-    """
+    """Implicit X: L^# of the factor graph, s (``top_left_scale``) and the
+    tail/head arrays of the factor edges, O(n^2 + m) in all.  X is indexed
+    by the flat id layout of :mod:`kirchlab.transforms`."""
 
     kind: TransformKind
     n: int
     m: int
     lg_sharp: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-    corner: np.ndarray
-    lower: np.ndarray
+    tail: np.ndarray
+    head: np.ndarray
     top_left_scale: float
-    full: np.ndarray
 
     @property
     def total_vertices(self) -> int:
         return self.kind.vertex_count(self.n, self.m)
 
+    @property
+    def full(self) -> np.ndarray:
+        """X assembled as a read-only N x N matrix, anew on every access."""
+        n, m, k = self.n, self.m, self.kind.path_vertices
+        weight = np.repeat(np.arange(1, k + 1) / (k + 1), m)
+        cols = np.arange(n, self.total_vertices)
+        p = np.eye(n, self.total_vertices)
+        p[np.tile(self.tail, k), cols] = 1.0 - weight
+        p[np.tile(self.head, k), cols] = weight
+        x = self.top_left_scale * (p.T @ self.lg_sharp @ p)
+        x[n:, n:] += np.kron(path_chain_inverse(k), np.eye(m))
+        x.flags.writeable = False
+        return x
+
 
 def build_structured_inverse(g: Graph, kind: TransformKind) -> StructuredOneInverse:
-    """Build the structured {1}-inverse from factor-graph data only.
-
-    Requires a connected factor graph with at least one edge.
-    """
+    """Implicit {1}-inverse of ``kind`` of a connected factor graph with edges."""
     if not is_connected(g):
         raise DisconnectedGraphError("factor graph must be connected")
     if g.m == 0:
         raise ValueError("factor graph must have at least one edge")
 
-    n, m = g.n, g.m
-    split = incidence_split(g)
-    b1 = split.b1.astype(np.float64)
-    b2 = split.b2.astype(np.float64)
-
     lg_sharp = group_inverse_laplacian(laplacian(g))
-    scale = kind.resistance_scale
-    h_sharp = scale * lg_sharp
-
-    k = kind.path_vertices
-    if k == 2:
-        b_blk = np.hstack([-b1, -b2])
-    else:
-        b_blk = np.hstack([-b1, np.zeros((n, m)), -b2])
-    d_blk = np.kron(_PATH_CHAIN[k], np.eye(m))
-    d_inv = invert(d_blk)
-
-    corner = -h_sharp @ b_blk @ d_inv
-    lower = d_inv + d_inv @ b_blk.T @ h_sharp @ b_blk @ d_inv
-    full = np.block([[h_sharp, corner], [corner.T, lower]])
-
-    for arr in (lg_sharp, corner, lower, full):
+    tail, head = np.array(g.edges, dtype=np.int64).T.copy()
+    for arr in (lg_sharp, tail, head):
         arr.flags.writeable = False
     return StructuredOneInverse(
-        kind=kind,
-        n=n,
-        m=m,
-        lg_sharp=lg_sharp,
-        b1=split.b1,
-        b2=split.b2,
-        corner=corner,
-        lower=lower,
-        top_left_scale=scale,
-        full=full,
+        kind, g.n, g.m, lg_sharp, tail, head, top_left_scale=kind.resistance_scale
     )
 
 
-def resistance(x: StructuredOneInverse, i: VertexClass, j: VertexClass) -> float:
-    """Resistance distance between two transformed-graph vertices.
+def _column(x: StructuredOneInverse, c: VertexClass) -> tuple:
+    """(tail, head, head weight, slot, edge) of a P column; -1, -1 for originals."""
+    fid = flat_id(c, x.n, x.m, x.kind)
+    if fid < x.n:
+        return fid, fid, 0.0, -1, -1
+    slot, edge = divmod(fid - x.n, x.m)
+    weight = (slot + 1) / x.kind.detour_length
+    return int(x.tail[edge]), int(x.head[edge]), weight, slot, edge
 
-    For any {1}-inverse X of the Laplacian, r_ij = X_ii + X_jj - X_ij - X_ji.
-    """
-    fi = flat_id(i, x.n, x.m, x.kind)
-    fj = flat_id(j, x.n, x.m, x.kind)
-    full = x.full
-    return float(full[fi, fi] + full[fj, fj] - full[fi, fj] - full[fj, fi])
+
+def _entry(x: StructuredOneInverse, a: tuple, b: tuple) -> float:
+    """X[a, b] for two columns from _column."""
+    (ua, va, wa, sa, ea), (ub, vb, wb, sb, eb) = a, b
+    ls = x.lg_sharp
+    value = x.top_left_scale * (
+        (1.0 - wa) * ((1.0 - wb) * ls[ua, ub] + wb * ls[ua, vb])
+        + wa * ((1.0 - wb) * ls[va, ub] + wb * ls[va, vb])
+    )
+    if ea == eb >= 0:  # two path vertices of one edge
+        value += path_chain_inverse(x.kind.path_vertices)[sa, sb]
+    return float(value)
+
+
+def resistance(x: StructuredOneInverse, i: VertexClass, j: VertexClass) -> float:
+    """Resistance distance r_ij = X_ii + X_jj - 2 X_ij, in O(1)."""
+    a, b = _column(x, i), _column(x, j)
+    return _entry(x, a, a) + _entry(x, b, b) - 2.0 * _entry(x, a, b)
 
 
 def resistance_matrix(x: StructuredOneInverse) -> np.ndarray:
@@ -127,5 +115,23 @@ def resistance_matrix(x: StructuredOneInverse) -> np.ndarray:
 
 
 def kirchhoff(x: StructuredOneInverse) -> float:
-    """Kirchhoff index: N * tr(X) - 1^T X 1 over the N transformed vertices."""
-    return x.total_vertices * trace(x.full) - all_ones_sum(x.full)
+    """Kirchhoff index N tr(X) - 1^T X 1, without forming X.
+
+    With a_j = (l - j) / l and b_j = j / l, tr(X) = s (tr L^# + the sum over
+    edges (u, v) of a.a L^#_uu + b.b L^#_vv + 2 a.b L^#_uv) + m tr(T^{-1}),
+    and 1^T X 1 = s c^T L^# c + m 1^T T^{-1} 1 with c = P 1 = 1 + (k/2) deg.
+    """
+    k = x.kind.path_vertices
+    b = np.arange(1, k + 1) / (k + 1)
+    a = 1.0 - b
+    t_inv = path_chain_inverse(k)
+    ls = x.lg_sharp
+    edge_terms = (
+        (a @ a) * ls[x.tail, x.tail].sum()
+        + (b @ b) * ls[x.head, x.head].sum()
+        + 2.0 * (a @ b) * ls[x.tail, x.head].sum()
+    )
+    tr = x.top_left_scale * (np.trace(ls) + edge_terms) + x.m * np.trace(t_inv)
+    c = 1.0 + k / 2.0 * np.bincount(np.concatenate([x.tail, x.head]), minlength=x.n)
+    ones = x.top_left_scale * (c @ ls @ c) + x.m * t_inv.sum()
+    return float(x.total_vertices * tr - ones)

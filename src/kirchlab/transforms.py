@@ -19,23 +19,29 @@ from dataclasses import dataclass
 
 from .graph import Graph
 
-_QUAD_SCALE = 3.0 / 4.0
-_PENT_SCALE = 4.0 / 5.0
-
 
 class TransformKind(enum.Enum):
     QUADRILATERAL = "quad"
     PENTAGONAL = "pent"
 
     @property
+    def detour_length(self) -> int:
+        """Edges on the detour path that parallels each factor edge (3 or 4)."""
+        return 3 if self is TransformKind.QUADRILATERAL else 4
+
+    @property
     def path_vertices(self) -> int:
         """New vertices added per edge."""
-        return 2 if self is TransformKind.QUADRILATERAL else 3
+        return self.detour_length - 1
 
     @property
     def resistance_scale(self) -> float:
-        """Factor by which original-pair resistances shrink (3/4 or 4/5)."""
-        return _QUAD_SCALE if self is TransformKind.QUADRILATERAL else _PENT_SCALE
+        """Factor by which original-pair resistances shrink (3/4 or 4/5).
+
+        A unit edge in parallel with a detour of l unit edges has resistance
+        l / (l + 1).
+        """
+        return self.detour_length / (self.detour_length + 1)
 
     def vertex_count(self, n: int, m: int) -> int:
         return n + self.path_vertices * m
@@ -113,39 +119,25 @@ def classify(idx: int, n: int, m: int, kind: TransformKind) -> VertexClass:
     return VertexClass(role, index)
 
 
-def quadrilateral(g: Graph) -> Graph:
-    """Quadrilateral transform: each edge becomes a 4-cycle.
+def apply_transform(g: Graph, kind: TransformKind) -> Graph:
+    """Edge i = (u, v) becomes, in order: (u, v), (u, Path1 i), ..., (Pathk i, v).
 
-    Edge i = (u, v) contributes, in order: (u, v), (u, Path1 i),
-    (Path1 i, Path2 i), (Path2 i, v).  Result: n + 2m vertices, 4m edges.
+    k = ``kind.path_vertices``; the result has n + km vertices, (k + 2)m edges.
     """
-    n, m = g.n, g.m
+    n, m, k = g.n, g.m, kind.path_vertices
     edges: list[tuple[int, int]] = []
     for i, (u, v) in enumerate(g.edges):
-        p1 = n + i
-        p2 = n + m + i
-        edges.extend([(u, v), (u, p1), (p1, p2), (p2, v)])
-    return Graph(n + 2 * m, tuple(edges))
+        chain = [u, *(n + slot * m + i for slot in range(k)), v]
+        edges.append((u, v))
+        edges.extend(zip(chain, chain[1:]))
+    return Graph(n + k * m, tuple(edges))
+
+
+def quadrilateral(g: Graph) -> Graph:
+    """Quadrilateral transform: each edge becomes a 4-cycle."""
+    return apply_transform(g, TransformKind.QUADRILATERAL)
 
 
 def pentagonal(g: Graph) -> Graph:
-    """Pentagonal transform: each edge becomes a 5-cycle.
-
-    Edge i = (u, v) contributes, in order: (u, v), (u, Path1 i),
-    (Path1 i, Path2 i), (Path2 i, Path3 i), (Path3 i, v).  Result: n + 3m
-    vertices, 5m edges.
-    """
-    n, m = g.n, g.m
-    edges: list[tuple[int, int]] = []
-    for i, (u, v) in enumerate(g.edges):
-        p1 = n + i
-        p2 = n + m + i
-        p3 = n + 2 * m + i
-        edges.extend([(u, v), (u, p1), (p1, p2), (p2, p3), (p3, v)])
-    return Graph(n + 3 * m, tuple(edges))
-
-
-def apply_transform(g: Graph, kind: TransformKind) -> Graph:
-    if kind is TransformKind.QUADRILATERAL:
-        return quadrilateral(g)
-    return pentagonal(g)
+    """Pentagonal transform: each edge becomes a 5-cycle."""
+    return apply_transform(g, TransformKind.PENTAGONAL)

@@ -96,6 +96,14 @@ def test_resist_self_check_passes(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_resist_self_check_passes_on_large_kirchhoff(tmp_path, capsys):
+    # W(P_100) has Kf about 2.2e6; an oracle delta near 1e-12 relative passes
+    text = "".join(f"{i} {i + 1}\n" for i in range(99))
+    path = write_graph(tmp_path, text)
+    assert main(["resist", "--kind", "pent", "--self-check", "--format", "csv", path]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_resist_self_check_fails_at_tiny_tol(tmp_path, capsys):
     path = write_graph(tmp_path, K2_TEXT)
     assert main(["resist", "--self-check", "--tol", "1e-30", path]) == 1

@@ -1,22 +1,25 @@
 """Structured {1}-inverse engine: golden values, laws, oracle agreement."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kirchlab.graph import DisconnectedGraphError, Graph, laplacian
 from kirchlab.linalg import all_ones_sum
-from kirchlab.oracle import oracle_resistance_matrix
+from kirchlab.oracle import oracle_kirchhoff, oracle_resistance_matrix
 from kirchlab.structured import (
     build_structured_inverse,
     kirchhoff,
+    path_chain_inverse,
     resistance,
     resistance_matrix,
 )
 from kirchlab.transforms import (
     TransformKind,
     apply_transform,
+    classify,
     original,
     path1,
     path2,
@@ -43,6 +46,14 @@ def random_connected(rng, n, extra=0.3):
         for v in range(u + 1, n):
             if (u, v) not in edges and rng.random() < extra:
                 edges.add((u, v))
+    return Graph(n, tuple(sorted(edges)))
+
+
+def random_connected_sized(rng, n, m):
+    """Random spanning tree plus uniform extra edges, m edges in all."""
+    edges = set(random_connected(rng, n, extra=0.0).edges)
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
     return Graph(n, tuple(sorted(edges)))
 
 
@@ -204,6 +215,60 @@ def test_orientation_reversal_invariance():
                     a = resistance(x, original(i), path1(e))
                     b = resistance(xr, original(n - 1 - i), mirror(e))
                     assert abs(a - b) <= 1e-9
+
+
+def test_path_chain_inverse_closed_form():
+    for k in (2, 3):
+        chain = 2.0 * np.eye(k) - np.eye(k, k=1) - np.eye(k, k=-1)
+        assert np.abs(path_chain_inverse(k) - np.linalg.inv(chain)).max() <= 1e-15
+
+
+def test_resistance_matches_matrix_for_every_class_pair():
+    rng = random.Random(5150)
+    for _ in range(6):
+        g = random_connected(rng, rng.randint(2, 6))
+        for kind in (QUAD, PENT):
+            x = build_structured_inverse(g, kind)
+            r = resistance_matrix(x)
+            vertices = [classify(i, g.n, g.m, kind) for i in range(r.shape[0])]
+            for a, va in enumerate(vertices):
+                for b, vb in enumerate(vertices):
+                    assert abs(resistance(x, va, vb) - r[a, b]) <= 1e-12
+
+
+def test_kirchhoff_matches_oracle_at_benchmark_size():
+    g = random_connected_sized(random.Random(60), 60, 200)
+    got = kirchhoff(build_structured_inverse(g, PENT))
+    ref = oracle_kirchhoff(apply_transform(g, PENT))
+    assert abs(got - ref) <= 1e-12 * ref
+
+
+def test_kirchhoff_allocates_factor_sized_memory_only():
+    # build + kirchhoff hold L# and a few n x n temporaries, never an N x N X
+    g = random_connected_sized(random.Random(61), 60, 200)
+    big = PENT.vertex_count(g.n, g.m) ** 2 * 8
+    tracemalloc.start()
+    try:
+        kirchhoff(build_structured_inverse(g, PENT))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (8 * g.n**2 + 64 * g.m) < big / 10
+
+
+def test_foster_theorem_beyond_oracle_size():
+    # Foster: the resistances over the edges of a connected graph on N
+    # vertices sum to N - 1
+    g = random_connected_sized(random.Random(400), 400, 2000)
+    x = build_structured_inverse(g, PENT)
+    t = apply_transform(g, PENT)
+    total = sum(
+        resistance(
+            x, classify(u, g.n, g.m, PENT), classify(v, g.n, g.m, PENT)
+        )
+        for u, v in t.edges
+    )
+    assert abs(total - (t.n - 1)) <= 1e-9 * t.n
 
 
 # --------------------------------------------------------------------- errors

@@ -120,11 +120,22 @@ def test_compare_forced_failure():
     assert not rep.passed
 
 
+def test_compare_kirchhoff_tolerance_scales_with_the_index():
+    # W(P_100): Kf is about 2.2e6 and the oracle's own error is about 2e-6,
+    # above the absolute floor kf_tol but near 1e-12 relative
+    path = Graph(100, tuple((i, i + 1) for i in range(99)))
+    for kf_tol in (1e-6, 0.0):
+        rep = compare(path, PENT, kf_tol=kf_tol)
+        assert rep.passed
+        assert rep.kirchhoff_rel_delta <= 1e-10
+        assert rep.as_dict()["deltas"]["kirchhoff_rel"] == rep.kirchhoff_rel_delta
+
+
 def test_compare_as_dict_schema():
     d = compare(k2(), QUAD, seed=7).as_dict()
     assert d["graph"] == {"n": 2, "m": 1, "seed": 7}
     assert d["kind"] == "quad"
-    assert set(d["deltas"]) == {"class_pairs", "kirchhoff", "overall"}
+    assert set(d["deltas"]) == {"class_pairs", "kirchhoff", "kirchhoff_rel", "overall"}
     assert d["pass"] is True
 
 
