@@ -19,16 +19,7 @@ from .graph import (
     parse_edge_list,
     render_edge_list,
 )
-from .linalg import (
-    BlockOneInverse,
-    SingularMatrixError,
-    all_ones_sum,
-    block_one_inverse,
-    group_inverse_laplacian,
-    invert,
-    quadratic_form,
-    trace,
-)
+from .linalg import SingularMatrixError, group_inverse_laplacian
 from .oracle import oracle_kirchhoff, oracle_resistance_matrix
 from .structured import (
     StructuredOneInverse,
@@ -67,7 +58,6 @@ from .verify import (
 __all__ = [
     "AuditClause",
     "AuditReport",
-    "BlockOneInverse",
     "ClauseDomain",
     "DisconnectedGraphError",
     "DiscrepancyReport",
@@ -82,10 +72,8 @@ __all__ = [
     "VertexClass",
     "VertexRole",
     "adjacency_matrix",
-    "all_ones_sum",
     "apply_transform",
     "audit_theorems",
-    "block_one_inverse",
     "build_structured_inverse",
     "classify",
     "compare",
@@ -93,7 +81,6 @@ __all__ = [
     "graph_from_edges",
     "group_inverse_laplacian",
     "incidence_split",
-    "invert",
     "is_connected",
     "kirchhoff",
     "laplacian",
@@ -105,14 +92,12 @@ __all__ = [
     "path2",
     "path3",
     "pentagonal",
-    "quadratic_form",
     "quadrilateral",
     "random_connected_graph",
     "render_edge_list",
     "resistance",
     "resistance_matrix",
     "run_corpus",
-    "trace",
 ]
 
 __version__ = "0.1.0"

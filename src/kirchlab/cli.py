@@ -17,11 +17,10 @@ import sys
 from typing import Callable, Sequence
 
 from .graph import DisconnectedGraphError, GraphError, parse_edge_list, render_edge_list
-from .linalg import SingularMatrixError
 from .oracle import oracle_kirchhoff
 from .structured import build_structured_inverse, kirchhoff, resistance_matrix
 from .transforms import TransformKind, apply_transform
-from .verify import audit_theorems, run_corpus
+from .verify import GenerationBudgetError, audit_theorems, run_corpus
 
 ENV_PREFIX = "KLAB_"
 
@@ -94,6 +93,8 @@ def _read_graph(path: str):
             return parse_edge_list(fh.read())
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
 
 
 def format_significant(value: float, digits: int = 12) -> str:
@@ -185,7 +186,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"n_max must be >= 2, got {n_max}")
     if not 0.0 < p <= 1.0:
         raise UsageError(f"p must be in (0, 1], got {p}")
-    reports = run_corpus(count, n_max, p, seed, tol=tol)
+    try:
+        reports = run_corpus(count, n_max, p, seed, tol=tol)
+    except GenerationBudgetError as exc:
+        raise UsageError(f"{exc}; raise --p") from None
     ok = all(r.passed for r in reports)
     _emit_json({"reports": [r.as_dict() for r in reports], "pass": ok})
     return 0 if ok else 1
@@ -264,10 +268,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GraphError, DisconnectedGraphError, SingularMatrixError, ValueError) as exc:
+    except (UsageError, GraphError, DisconnectedGraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import DisconnectedGraphError, Graph, is_connected, laplacian
+from .graph import DisconnectedGraphError, Graph, GraphError, is_connected, laplacian
 
 
 def _pseudoinverse(g: Graph) -> np.ndarray:
     if g.n == 0:
-        raise ValueError("empty graph")
+        raise GraphError("empty graph")
     if not is_connected(g):
         raise DisconnectedGraphError("resistance distance requires a connected graph")
     # symmetric, so the Moore-Penrose pseudoinverse is the group inverse

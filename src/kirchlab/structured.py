@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DisconnectedGraphError, Graph, is_connected, laplacian
+from .graph import DisconnectedGraphError, Graph, GraphError, is_connected, laplacian
 from .linalg import group_inverse_laplacian
 from .transforms import TransformKind, VertexClass, flat_id
 
@@ -67,7 +67,7 @@ def build_structured_inverse(g: Graph, kind: TransformKind) -> StructuredOneInve
     if not is_connected(g):
         raise DisconnectedGraphError("factor graph must be connected")
     if g.m == 0:
-        raise ValueError("factor graph must have at least one edge")
+        raise GraphError("factor graph must have at least one edge")
 
     lg_sharp = group_inverse_laplacian(laplacian(g))
     tail, head = np.array(g.edges, dtype=np.int64).T.copy()

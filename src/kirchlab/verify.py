@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, incidence_split, is_connected, laplacian
+from .graph import (
+    DisconnectedGraphError,
+    Graph,
+    GraphError,
+    incidence_split,
+    is_connected,
+    laplacian,
+)
 from .oracle import oracle_kirchhoff, oracle_resistance_matrix
 from .structured import build_structured_inverse, kirchhoff, resistance_matrix
 from .transforms import TransformKind, VertexRole, apply_transform
@@ -521,9 +528,9 @@ def audit_theorems(g: Graph, kind: TransformKind) -> AuditReport:
     deterministic for a fixed graph.
     """
     if not is_connected(g):
-        raise ValueError("audit requires a connected factor graph")
+        raise DisconnectedGraphError("audit requires a connected factor graph")
     if g.m == 0:
-        raise ValueError("audit requires at least one edge")
+        raise GraphError("audit requires at least one edge")
     tg = apply_transform(g, kind)
     r_t = oracle_resistance_matrix(tg)
     kf_t = oracle_kirchhoff(tg)

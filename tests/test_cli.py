@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from kirchlab import cli
 from kirchlab.cli import format_significant, main
 
 K2_TEXT = "2 1\n0 1\n"
@@ -177,6 +178,15 @@ def test_verify_rejects_bad_count(capsys):
     assert "count" in capsys.readouterr().err
 
 
+def test_verify_unreachable_p_is_an_input_error(capsys):
+    # no connected G(n, 0.01) within the rejection budget: bad input, not a
+    # missed tolerance (exit 1) and not a traceback
+    argv = ["verify", "--count", "1", "--n-max", "12", "--p", "0.01", "--seed", "3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "p=0.01" in err
+
+
 # ---------------------------------------------------------------------- audit
 
 
@@ -214,6 +224,23 @@ def test_disconnected_input(tmp_path, capsys):
     path = write_graph(tmp_path, "4 2\n0 1\n2 3\n")
     assert main(["resist", path]) == 2
     assert "connected" in capsys.readouterr().err.lower()
+
+
+def test_binary_input(tmp_path, capsys):
+    path = tmp_path / "g.bin"
+    path.write_bytes(b"\x00\xff\xfe\x80 1\n")
+    assert main(["resist", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+def test_internal_value_error_is_not_reported_as_bad_input(tmp_path, monkeypatch):
+    def broken(x):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "kirchhoff", broken)
+    path = write_graph(tmp_path, K2_TEXT)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["kirchhoff", path])
 
 
 def test_no_command(capsys):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from kirchlab.graph import DisconnectedGraphError, Graph, laplacian
-from kirchlab.linalg import all_ones_sum
 from kirchlab.oracle import oracle_kirchhoff, oracle_resistance_matrix
 from kirchlab.structured import (
     build_structured_inverse,
@@ -80,7 +79,7 @@ def test_all_ones_sum_k2():
     # corners vanish (L^# annihilates the all-ones vector); middle blocks
     # give (2/3+1/48)+(1/3-1/48)+(1/3-1/48)+(2/3+1/48) = 2
     x = build_structured_inverse(k2(), QUAD)
-    assert abs(all_ones_sum(x.full) - 2.0) <= 1e-12
+    assert abs(x.full.sum() - 2.0) <= 1e-12
 
 
 def test_resistance_original_pair():
