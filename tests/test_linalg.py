@@ -64,6 +64,24 @@ def test_group_inverse_laws_random():
         assert np.abs(lap @ x - x @ lap).max() <= 1e-9
 
 
+def test_block_one_inverse_random_partitions():
+    # L = [[A, B], [B^T, D]] split after row k; H = A - B D^{-1} B^T is the
+    # weighted Laplacian of the Kron-reduced graph, and H^# completes a
+    # {1}-inverse of L:
+    #   [[H^#, -H^# B D^{-1}], [-D^{-1} B^T H^#, D^{-1} + D^{-1} B^T H^# B D^{-1}]]
+    rng = random.Random(2210)
+    for _ in range(30):
+        g = random_connected(rng, rng.randint(4, 12))
+        lap = laplacian(g)
+        k = rng.randint(1, g.n - 1)
+        a, b, d = lap[:k, :k], lap[:k, k:], lap[k:, k:]
+        d_inv = np.linalg.inv(d)
+        h_sharp = group_inverse_laplacian(a - b @ d_inv @ b.T)
+        top_right = -h_sharp @ b @ d_inv
+        x = np.block([[h_sharp, top_right], [top_right.T, d_inv - d_inv @ b.T @ top_right]])
+        assert np.abs(lap @ x @ lap - lap).max() <= 1e-8
+
+
 def test_group_inverse_disconnected_raises():
     lap = laplacian(Graph(4, ((0, 1), (2, 3))))
     with pytest.raises(SingularMatrixError):
