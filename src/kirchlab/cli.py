@@ -5,6 +5,12 @@ success, 1 when a verification or self-check misses its tolerance, 2 on bad
 input or usage.  Every option can also be set through an environment
 variable named KLAB_<OPTION> (KLAB_KIND, KLAB_FORMAT, KLAB_TOL, KLAB_SEED,
 KLAB_COUNT, KLAB_N_MAX, KLAB_P); explicit flags win.
+
+``resist`` writes the N x N matrix of the transform.  Resistance distance
+is symmetric, so it turns only the N(N+1)/2 upper-triangle values into text,
+about 1 us each, and mirrors them.  Its json output is one compact line that
+parses to the same values as the earlier indented form of the same matrix;
+csv and plain output are unchanged byte for byte.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import math
 import os
 import sys
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .graph import DisconnectedGraphError, GraphError, parse_edge_list, render_edge_list
 from .oracle import oracle_kirchhoff
@@ -112,6 +120,26 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _write_matrix(r: np.ndarray, fmt: str, kind: str) -> None:
+    """Write a symmetric matrix as json, csv or plain text in one write.
+
+    Each upper-triangle value is turned into text once, with ``repr`` as
+    ``json`` does, and mirrored into the lower triangle; the json text is
+    byte-equal to ``json.dumps({"kind", "n", "matrix"})``.
+    """
+    n = r.shape[0]
+    iu = np.triu_indices(n)
+    cells = np.empty((n, n), dtype=object)
+    cells[iu] = cells.T[iu] = list(map(repr, r[iu].tolist()))
+    if fmt == "json":
+        rows = ", ".join(["[" + ", ".join(row) + "]" for row in cells.tolist()])
+        text = f'{{"kind": {json.dumps(kind)}, "n": {n}, "matrix": [{rows}]}}\n'
+    else:
+        sep = "," if fmt == "csv" else " "
+        text = "".join([sep.join(row) + "\n" for row in cells.tolist()])
+    sys.stdout.write(text)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -150,16 +178,7 @@ def cmd_resist(args: argparse.Namespace) -> int:
             )
             exit_code = 1
 
-    if fmt == "json":
-        _emit_json(
-            {"kind": kind.value, "n": int(r.shape[0]), "matrix": r.tolist()}
-        )
-    elif fmt == "csv":
-        for row in r:
-            print(",".join(repr(float(v)) for v in row))
-    else:
-        for row in r:
-            print(" ".join(repr(float(v)) for v in row))
+    _write_matrix(r, fmt, kind.value)
     return exit_code
 
 

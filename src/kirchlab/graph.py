@@ -97,9 +97,11 @@ def parse_edge_list(text: str) -> Graph:
     One ``u v`` pair per line; blank lines and lines starting with ``#`` are
     skipped.  A first line ``n m`` is treated as a header when it is followed
     by exactly ``m`` edge lines whose ids all fit in ``[0, n)`` (the all-zero
-    line ``0 0`` is never a header, so it errors as a self-loop).  Without a
-    header the vertex count is ``1 + max id``.  An empty stream parses to the
-    empty graph.
+    line ``0 0`` is never a header, so it errors as a self-loop).  The header
+    reading wins when both fit: ``3 1`` then ``0 2`` is n = 3 with the one
+    edge (0, 2), not the edges (3, 1) and (0, 2).  Without a header the
+    vertex count is ``1 + max id``.  An empty stream parses to the empty
+    graph.
     """
     rows: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):

@@ -108,10 +108,15 @@ def resistance(x: StructuredOneInverse, i: VertexClass, j: VertexClass) -> float
 
 
 def resistance_matrix(x: StructuredOneInverse) -> np.ndarray:
-    """All-pairs resistance distances, indexed by flat id."""
+    """All-pairs resistance distances, indexed by flat id.
+
+    Exactly symmetric with an exactly zero diagonal: both triangles come from
+    the same commutative sums, which ``cli`` relies on to format each
+    value once.
+    """
     full = x.full
     d = np.diag(full)
-    return d[:, None] + d[None, :] - full - full.T
+    return d[:, None] + d[None, :] - (full + full.T)
 
 
 def kirchhoff(x: StructuredOneInverse) -> float:

@@ -1,11 +1,16 @@
 """End-to-end command tests driven through main()."""
 
 import json
+import random
 
+import numpy as np
 import pytest
 
 from kirchlab import cli
 from kirchlab.cli import format_significant, main
+from kirchlab.graph import parse_edge_list
+from kirchlab.structured import build_structured_inverse, resistance_matrix
+from kirchlab.transforms import TransformKind
 
 K2_TEXT = "2 1\n0 1\n"
 P3_TEXT = "3 2\n0 1\n1 2\n"
@@ -89,6 +94,54 @@ def test_resist_plain(tmp_path, capsys):
     assert main(["resist", "--format", "plain", path]) == 0
     first = capsys.readouterr().out.splitlines()[0].split()
     assert [float(v) for v in first] == [0.0, 0.75, 0.75, 1.0]
+
+
+def seeded_graph_text(seed, n, m):
+    """Random spanning tree plus extra edges, in shuffled order."""
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = {tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)}
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    edges = list(edges)
+    rng.shuffle(edges)
+    return "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def assert_same_text(got, expected):
+    """Byte equality that reports where the texts first differ; pytest's own
+    diff of megabytes of text takes minutes."""
+    if got == expected:
+        return
+    pairs = enumerate(zip(got, expected))
+    i = next((i for i, (a, b) in pairs if a != b), min(len(got), len(expected)))
+    lo = max(i - 40, 0)
+    pytest.fail(f"texts differ at offset {i}: {got[lo:i + 40]!r} != {expected[lo:i + 40]!r}")
+
+
+@pytest.mark.parametrize("kind", ["quad", "pent"])
+def test_resist_formats_at_size(tmp_path, capsys, kind):
+    text = seeded_graph_text(210, 30, 90)
+    path = write_graph(tmp_path, text)
+    r = resistance_matrix(build_structured_inverse(parse_edge_list(text), TransformKind(kind)))
+    assert r.shape[0] >= 200
+    outputs = {}
+    for fmt in ("json", "csv", "plain"):
+        assert main(["resist", "--kind", kind, "--format", fmt, path]) == 0
+        outputs[fmt] = capsys.readouterr().out
+
+    payload = {"kind": kind, "n": r.shape[0], "matrix": r.tolist()}
+    assert_same_text(outputs["json"], json.dumps(payload) + "\n")
+    for fmt, sep in (("csv", ","), ("plain", " ")):
+        expected = "".join(sep.join(repr(float(v)) for v in row) + "\n" for row in r)
+        assert_same_text(outputs[fmt], expected)
+
+    doc = json.loads(outputs["json"])
+    assert doc["kind"] == kind and doc["n"] == r.shape[0]
+    assert np.array_equal(np.array(doc["matrix"]), r)
+    assert np.array_equal(np.loadtxt(outputs["csv"].splitlines(), delimiter=","), r)
+    assert np.array_equal(np.loadtxt(outputs["plain"].splitlines()), r)
 
 
 def test_resist_self_check_passes(tmp_path, capsys):

@@ -97,6 +97,13 @@ def test_parse_header_rejected_when_ids_do_not_fit():
     assert g.n == 6 and g.m == 2
 
 
+def test_parse_header_rule_beats_edge_reading():
+    # "3 1" followed by exactly one edge that fits in [0, 3) is a header,
+    # not the edge (3, 1) of a 4-vertex graph
+    g = parse_edge_list("3 1\n0 2\n")
+    assert g.n == 3 and g.edges == ((0, 2),)
+
+
 def test_parse_comments_and_blank_lines():
     text = "# a triangle\n\n3 3\n0 1\n# middle\n0 2\n1 2\n"
     assert parse_edge_list(text) == k3()

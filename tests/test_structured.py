@@ -191,6 +191,18 @@ def test_resistance_matrix_properties():
                 assert (r <= r[:, j, None] + r[None, j, :] + 1e-9).all()
 
 
+def test_resistance_matrix_is_exactly_symmetric_at_size():
+    # the resist writer formats the upper triangle only and mirrors it
+    rng = random.Random(322)
+    for n, m in ((46, 138), (40, 130)):
+        g = random_connected_sized(rng, n, m)
+        for kind in (QUAD, PENT):
+            r = resistance_matrix(build_structured_inverse(g, kind))
+            assert r.shape[0] >= 300
+            assert np.array_equal(r, r.T)
+            assert (np.diag(r) == 0.0).all()
+
+
 def test_orientation_reversal_invariance():
     # relabeling with k -> n-1-k swaps every edge's tail and head; original
     # resistances must be unchanged and path classes mirror accordingly
