@@ -131,12 +131,13 @@ def _write_matrix(r: np.ndarray, fmt: str, kind: str) -> None:
     iu = np.triu_indices(n)
     cells = np.empty((n, n), dtype=object)
     cells[iu] = cells.T[iu] = list(map(repr, r[iu].tolist()))
+    rows = cells.tolist()
     if fmt == "json":
-        rows = ", ".join(["[" + ", ".join(row) + "]" for row in cells.tolist()])
-        text = f'{{"kind": {json.dumps(kind)}, "n": {n}, "matrix": [{rows}]}}\n'
+        body = ", ".join(["[" + ", ".join(row) + "]" for row in rows])
+        text = f'{{"kind": {json.dumps(kind)}, "n": {n}, "matrix": [{body}]}}\n'
     else:
         sep = "," if fmt == "csv" else " "
-        text = "".join([sep.join(row) + "\n" for row in cells.tolist()])
+        text = "".join([sep.join(row) + "\n" for row in rows])
     sys.stdout.write(text)
 
 
