@@ -6,11 +6,12 @@ input or usage.  Every option can also be set through an environment
 variable named KLAB_<OPTION> (KLAB_KIND, KLAB_FORMAT, KLAB_TOL, KLAB_SEED,
 KLAB_COUNT, KLAB_N_MAX, KLAB_P); explicit flags win.
 
-``resist`` writes the N x N matrix of the transform.  Resistance distance
-is symmetric, so it turns only the N(N+1)/2 upper-triangle values into text,
-about 1 us each, and mirrors them.  Its json output is one compact line that
-parses to the same values as the earlier indented form of the same matrix;
-csv and plain output are unchanged byte for byte.
+``resist`` writes the N x N matrix of the transform one row per write.
+Resistance distance is symmetric, so it turns only the N(N+1)/2
+upper-triangle values into text, about 1 us each, and mirrors them.  Its
+json output is one compact line that parses to the same values as the
+earlier indented form of the same matrix; csv and plain output are
+unchanged byte for byte.
 """
 
 from __future__ import annotations
@@ -78,14 +79,10 @@ def _resolve_kind(args: argparse.Namespace, allow_none: bool = False):
         raise UsageError(f"invalid kind {value!r}") from None
 
 
-def _resolve_format(args: argparse.Namespace, matrix_output: bool) -> str:
-    fmt = getattr(args, "format", None)
-    if fmt is None:
-        fmt = os.environ.get(ENV_PREFIX + "FORMAT", _DEFAULTS["format"])
+def _resolve_format(args: argparse.Namespace) -> str:
+    fmt = _resolve(args, "format", str)
     if fmt not in ("json", "csv", "plain"):
         raise UsageError(f"invalid format {fmt!r}")
-    if fmt == "csv" and not matrix_output:
-        raise UsageError("csv format is only valid for matrix outputs")
     return fmt
 
 
@@ -121,7 +118,7 @@ def _emit_json(obj) -> None:
 
 
 def _write_matrix(r: np.ndarray, fmt: str, kind: str) -> None:
-    """Write a symmetric matrix as json, csv or plain text in one write.
+    """Write a symmetric matrix as json, csv or plain text, one row per write.
 
     Each upper-triangle value is turned into text once, with ``repr`` as
     ``json`` does, and mirrored into the lower triangle; the json text is
@@ -133,12 +130,13 @@ def _write_matrix(r: np.ndarray, fmt: str, kind: str) -> None:
     cells[iu] = cells.T[iu] = list(map(repr, r[iu].tolist()))
     rows = cells.tolist()
     if fmt == "json":
-        body = ", ".join(["[" + ", ".join(row) + "]" for row in rows])
-        text = f'{{"kind": {json.dumps(kind)}, "n": {n}, "matrix": [{body}]}}\n'
+        sys.stdout.write(f'{{"kind": {json.dumps(kind)}, "n": {n}, "matrix": [')
+        sys.stdout.writelines((", [" if i else "[") + ", ".join(row) + "]"
+                              for i, row in enumerate(rows))
+        sys.stdout.write("]}\n")
     else:
         sep = "," if fmt == "csv" else " "
-        text = "".join([sep.join(row) + "\n" for row in rows])
-    sys.stdout.write(text)
+        sys.stdout.writelines(sep.join(row) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +157,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 def cmd_resist(args: argparse.Namespace) -> int:
     kind = _resolve_kind(args)
-    fmt = _resolve_format(args, matrix_output=True)
+    fmt = _resolve_format(args)
     tol = _positive("tol", _resolve(args, "tol", float))
     g = _read_graph(args.input)
     x = build_structured_inverse(g, kind)

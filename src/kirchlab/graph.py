@@ -60,11 +60,7 @@ class Graph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(_endpoints(self).ravel(), minlength=self.n)
 
 
 @dataclass(frozen=True)
@@ -148,18 +144,27 @@ def render_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _endpoints(g: Graph) -> np.ndarray:
+    """The edges as an (m, 2) int64 array of (tail, head) rows."""
+    # zip transposes in Python, about twice as fast as numpy's nested-sequence scan
+    return np.array(list(zip(*g.edges)), dtype=np.int64).reshape(2, g.m).T
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v in g.edges:
-        a[u, v] = 1
-        a[v, u] = 1
+    tail, head = _endpoints(g).T
+    a[tail, head] = a[head, tail] = 1
     return a
 
 
 def laplacian(g: Graph) -> np.ndarray:
     """Laplacian L = D - A as float64."""
-    lap = -adjacency_matrix(g).astype(np.float64)
-    np.fill_diagonal(lap, g.degrees().astype(np.float64))
+    ends = _endpoints(g)
+    tail, head = ends.T
+    # zeros off the edges are -0.0, the sign -A gives them; pinv's last bits follow it
+    lap = np.full((g.n, g.n), -0.0)
+    lap[tail, head] = lap[head, tail] = -1.0
+    np.fill_diagonal(lap, np.bincount(ends.ravel(), minlength=g.n))
     return lap
 
 
@@ -171,9 +176,10 @@ def incidence_split(g: Graph) -> IncidenceSplit:
     """
     b1 = np.zeros((g.n, g.m), dtype=np.int64)
     b2 = np.zeros((g.n, g.m), dtype=np.int64)
-    for i, (u, v) in enumerate(g.edges):
-        b1[u, i] = 1
-        b2[v, i] = 1
+    tail, head = _endpoints(g).T
+    cols = np.arange(g.m)
+    b1[tail, cols] = 1
+    b2[head, cols] = 1
     return IncidenceSplit(b1=_frozen(b1), b2=_frozen(b2))
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DisconnectedGraphError, Graph, GraphError, is_connected, laplacian
+from .graph import _endpoints
 from .linalg import group_inverse_laplacian
 from .transforms import TransformKind, VertexClass, flat_id
 
@@ -70,7 +71,7 @@ def build_structured_inverse(g: Graph, kind: TransformKind) -> StructuredOneInve
         raise GraphError("factor graph must have at least one edge")
 
     lg_sharp = group_inverse_laplacian(laplacian(g))
-    tail, head = np.array(g.edges, dtype=np.int64).T.copy()
+    tail, head = _endpoints(g).T.copy()
     for arr in (lg_sharp, tail, head):
         arr.flags.writeable = False
     return StructuredOneInverse(
@@ -120,23 +121,25 @@ def resistance_matrix(x: StructuredOneInverse) -> np.ndarray:
 
 
 def kirchhoff(x: StructuredOneInverse) -> float:
-    """Kirchhoff index N tr(X) - 1^T X 1, without forming X.
+    """Kirchhoff index N tr(X) - 1^T X 1 from three invariants of G.
 
-    With a_j = (l - j) / l and b_j = j / l, tr(X) = s (tr L^# + the sum over
-    edges (u, v) of a.a L^#_uu + b.b L^#_vv + 2 a.b L^#_uv) + m tr(T^{-1}),
-    and 1^T X 1 = s c^T L^# c + m 1^T T^{-1} 1 with c = P 1 = 1 + (k/2) deg.
+    With a_j = (l - j) / l and b_j = j / l, edge (u, v) adds
+    a.a L^#_uu + b.b L^#_vv + 2 a.b L^#_uv to tr(P^T L^# P).  Since
+    2 L^#_uv = L^#_uu + L^#_vv - r_uv, sum(a) = sum(b) = k/2 and, by Foster's
+    theorem, the r_uv over the edges sum to n - 1, that is
+
+        tr(X) = s (tr L^# + (k/2) d.diag L^# - a.b (n - 1)) + m tr(T^{-1})
+
+    with d the degrees.  P 1 = 1 + (k/2) d and L^# 1 = 0 give
+    1^T X 1 = s (k/2)^2 d^T L^# d + m 1^T T^{-1} 1.
     """
     k = x.kind.path_vertices
     b = np.arange(1, k + 1) / (k + 1)
-    a = 1.0 - b
     t_inv = path_chain_inverse(k)
     ls = x.lg_sharp
-    edge_terms = (
-        (a @ a) * ls[x.tail, x.tail].sum()
-        + (b @ b) * ls[x.head, x.head].sum()
-        + 2.0 * (a @ b) * ls[x.tail, x.head].sum()
-    )
-    tr = x.top_left_scale * (np.trace(ls) + edge_terms) + x.m * np.trace(t_inv)
-    c = 1.0 + k / 2.0 * np.bincount(np.concatenate([x.tail, x.head]), minlength=x.n)
-    ones = x.top_left_scale * (c @ ls @ c) + x.m * t_inv.sum()
+    d = np.bincount(np.concatenate([x.tail, x.head]), minlength=x.n)
+    tr = x.top_left_scale * (
+        np.trace(ls) + k / 2.0 * (d @ np.diag(ls)) - ((1.0 - b) @ b) * (x.n - 1)
+    ) + x.m * np.trace(t_inv)
+    ones = x.top_left_scale * (k / 2.0) ** 2 * (d @ ls @ d) + x.m * t_inv.sum()
     return float(x.total_vertices * tr - ones)

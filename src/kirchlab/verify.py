@@ -277,6 +277,13 @@ _SPLIT_REPAIR_NOTE = (
 )
 
 
+def _kf_sums(g: Graph, ls: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> tuple:
+    """Kf(G), then the traces and entry sums of b_i^T L^# b_j for ij = 11, 12, 21, 22."""
+    prods = [bi.T @ ls @ bj for bi in (b1, b2) for bj in (b1, b2)]
+    return (g.n * float(np.trace(ls)), *(float(np.trace(p)) for p in prods),
+            *(float(p.sum()) for p in prods))
+
+
 def _audit_quadrilateral(g: Graph, ls: np.ndarray, b1: np.ndarray, b2: np.ndarray,
                          r_t: np.ndarray, kf_t: float) -> tuple[AuditClause, ...]:
     n, m = g.n, g.m
@@ -347,15 +354,7 @@ def _audit_quadrilateral(g: Graph, ls: np.ndarray, b1: np.ndarray, b2: np.ndarra
         _per_domain_note("evaluated within each class separately", domains_iv),
     )
 
-    kf_g = g.n * float(np.trace(ls))
-    tr11 = float(np.trace(b1.T @ ls @ b1))
-    tr12 = float(np.trace(b1.T @ ls @ b2))
-    tr21 = float(np.trace(b2.T @ ls @ b1))
-    tr22 = float(np.trace(b2.T @ ls @ b2))
-    q11 = float((b1.T @ ls @ b1).sum())
-    q12 = float((b1.T @ ls @ b2).sum())
-    q21 = float((b2.T @ ls @ b1).sum())
-    q22 = float((b2.T @ ls @ b2).sum())
+    kf_g, tr11, tr12, tr21, tr22, q11, q12, q21, q22 = _kf_sums(g, ls, b1, b2)
     printed_kf = (
         (n + 2 * m)
         * (3.0 / (4.0 * n) * kf_g + 5.0 / 12.0 * (tr11 + tr12) + (tr21 + tr22) / 3.0)
@@ -479,14 +478,7 @@ def _audit_pentagonal(g: Graph, ls: np.ndarray, b1: np.ndarray, b2: np.ndarray,
         ],
     )
 
-    kf_g = g.n * float(np.trace(ls))
-    tr11 = float(np.trace(b1.T @ ls @ b1))
-    tr12 = float(np.trace(b1.T @ ls @ b2))
-    tr22 = float(np.trace(b2.T @ ls @ b2))
-    q11 = float((b1.T @ ls @ b1).sum())
-    q12 = float((b1.T @ ls @ b2).sum())
-    q21 = float((b2.T @ ls @ b1).sum())
-    q22 = float((b2.T @ ls @ b2).sum())
+    kf_g, tr11, tr12, _, tr22, q11, q12, q21, q22 = _kf_sums(g, ls, b1, b2)
     # the 1/2 group doubles tr(b1^T L^# b2), exactly as typeset
     printed_kf = (
         (n + 3 * m)

@@ -1,7 +1,9 @@
 """End-to-end command tests driven through main()."""
 
+import io
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -142,6 +144,32 @@ def test_resist_formats_at_size(tmp_path, capsys, kind):
     assert np.array_equal(np.array(doc["matrix"]), r)
     assert np.array_equal(np.loadtxt(outputs["csv"].splitlines(), delimiter=","), r)
     assert np.array_equal(np.loadtxt(outputs["plain"].splitlines()), r)
+
+
+class ChunkRecorder(io.StringIO):
+    """A stdout that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_resist_writes_row_by_row(tmp_path, monkeypatch, fmt):
+    # the text of the whole matrix is never held at once
+    path = write_graph(tmp_path, seeded_graph_text(211, 30, 90))
+    out = ChunkRecorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["resist", "--format", fmt, path]) == 0
+    text = out.getvalue()
+    n = json.loads(text)["n"] if fmt == "json" else len(text.splitlines())
+    assert n >= 200
+    assert len(out.chunks) >= n
+    assert max(out.chunks) <= 2 * len(text) / n
 
 
 def test_resist_self_check_passes(tmp_path, capsys):

@@ -254,6 +254,48 @@ def test_kirchhoff_matches_oracle_at_benchmark_size():
     assert abs(got - ref) <= 1e-12 * ref
 
 
+def degree_kirchhoff_indices(g):
+    """Kf, R+ = sum over i < j of (d_i + d_j) r_ij and R* = that of d_i d_j r_ij."""
+    r = oracle_resistance_matrix(g)
+    d = g.degrees().astype(np.float64)
+    weights = (1.0, d[:, None] + d[None, :], np.outer(d, d))
+    return tuple(float((w * r).sum()) / 2.0 for w in weights)
+
+
+def kf_quadrilateral_closed_form(g):
+    kf, r_plus, r_star = degree_kirchhoff_indices(g)
+    n, m = g.n, g.m
+    return (
+        0.75 * (kf + r_plus + r_star)
+        + 8 * m**2 / 3 + 2 * m * n / 3 - 4 * m / 3 - n**2 / 3 + n / 3
+    )
+
+
+def kf_pentagonal_closed_form(g):
+    kf, r_plus, r_star = degree_kirchhoff_indices(g)
+    n, m = g.n, g.m
+    return (
+        0.8 * kf + 1.2 * r_plus + 1.8 * r_star
+        + 7.5 * m**2 + m * n - 3.5 * m - n**2 / 2 + n / 2
+    )
+
+
+def test_kirchhoff_closed_forms_in_degree_kirchhoff_indices():
+    assert kf_quadrilateral_closed_form(k2()) == pytest.approx(5.0, rel=1e-12)
+    assert kf_pentagonal_closed_form(k2()) == pytest.approx(10.0, rel=1e-12)
+    rng = random.Random(2304)
+    for _ in range(24):
+        g = random_connected(rng, rng.randint(2, 12))
+        for kind, closed_form in (
+            (QUAD, kf_quadrilateral_closed_form),
+            (PENT, kf_pentagonal_closed_form),
+        ):
+            ref = oracle_kirchhoff(apply_transform(g, kind))
+            assert abs(closed_form(g) - ref) <= 1e-12 * ref
+            got = kirchhoff(build_structured_inverse(g, kind))
+            assert abs(got - ref) <= 1e-12 * ref
+
+
 def test_kirchhoff_allocates_factor_sized_memory_only():
     # build + kirchhoff hold L# and a few n x n temporaries, never an N x N X
     g = random_connected_sized(random.Random(61), 60, 200)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kirchlab import verify
 from kirchlab.graph import Graph, is_connected
 from kirchlab.transforms import TransformKind
 from kirchlab.verify import (
@@ -193,6 +194,17 @@ def test_audit_scaling_clauses_are_exact():
         assert pent["4.1.i"].max_delta <= 1e-9
         # the V x V1 clause matches its derivation as typeset
         assert pent["4.1.ii"].max_delta <= 1e-9
+
+
+def test_compare_fails_on_kirchhoff_off_by_a_millionth(monkeypatch):
+    real = verify.kirchhoff
+    monkeypatch.setattr(verify, "kirchhoff", lambda x: real(x) * (1.0 + 1e-6))
+    g = random_connected_graph(7, 0.5, 11)
+    for kind in (QUAD, PENT):
+        report = compare(g, kind)
+        assert report.overall_max <= 1e-8
+        assert report.kirchhoff_rel_delta == pytest.approx(1e-6, rel=1e-3)
+        assert not report.passed
 
 
 def test_audit_k2_desk_values_quadrilateral():
