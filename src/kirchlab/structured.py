@@ -112,8 +112,7 @@ def resistance_matrix(x: StructuredOneInverse) -> np.ndarray:
     """All-pairs resistance distances, indexed by flat id.
 
     Exactly symmetric with an exactly zero diagonal: both triangles come from
-    the same commutative sums, which ``cli`` relies on to format each
-    value once.
+    the same commutative sums.
     """
     full = x.full
     d = np.diag(full)

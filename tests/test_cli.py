@@ -2,11 +2,15 @@
 
 import io
 import json
+import math
 import random
 import sys
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from kirchlab import cli
 from kirchlab.cli import format_significant, main
@@ -170,6 +174,52 @@ def test_resist_writes_row_by_row(tmp_path, monkeypatch, fmt):
     assert n >= 200
     assert len(out.chunks) >= n
     assert max(out.chunks) <= 2 * len(text) / n
+
+
+# values where orjson's notation is not repr's, and the edges of its range
+GUARD_VALUES = [5e-5, np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16,
+                1e300, 5e-324, -0.0, math.nan, math.inf]
+
+
+def repr_text(r, fmt, kind="quad"):
+    """The writer's output with every value printed by repr."""
+    sep = {"json": ", ", "csv": ",", "plain": " "}[fmt]
+    rows = [sep.join(map(repr, row)) for row in r.tolist()]
+    if fmt != "json":
+        return "".join(row + "\n" for row in rows)
+    body = ", ".join(f"[{row}]" for row in rows)
+    return f'{{"kind": "{kind}", "n": {len(rows)}, "matrix": [{body}]}}\n'
+
+
+def written(capsys, r, fmt):
+    cli._write_matrix(r, fmt, "quad")
+    return capsys.readouterr().out
+
+
+def assert_writes_as_repr(capsys, r):
+    for fmt in ("json", "csv", "plain"):
+        assert written(capsys, r, fmt) == repr_text(r, fmt)
+    if np.isfinite(r).all():
+        payload = {"kind": "quad", "n": r.shape[0], "matrix": r.tolist()}
+        assert written(capsys, r, "json") == json.dumps(payload) + "\n"
+
+
+def test_write_matrix_prints_every_value_as_repr(capsys):
+    # each guard value alone in an otherwise ordinary row, then an ordinary row
+    n = len(GUARD_VALUES) + 1
+    r = np.tile(np.linspace(0.0, 7.5, n) / 3, (n, 1))
+    r[np.arange(n - 1), np.arange(n - 1)] = GUARD_VALUES
+    assert_writes_as_repr(capsys, r)
+    assert_writes_as_repr(capsys, np.where(np.isfinite(r), r, 2.5))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hnp.arrays(np.float64, st.integers(1, 6).map(lambda n: (n, n)),
+                  elements=st.one_of(st.floats(1e-4, 1e4), st.sampled_from(GUARD_VALUES),
+                                     st.floats())))
+def test_write_matrix_prints_every_value_as_repr_property(capsys, r):
+    assert_writes_as_repr(capsys, r)
 
 
 def test_resist_self_check_passes(tmp_path, capsys):

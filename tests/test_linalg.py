@@ -120,9 +120,13 @@ def test_group_inverse_input_validation():
 
 
 def test_import_leaves_scipy_unloaded():
+    # orjson is only imported once a matrix is written
     src = os.path.dirname(os.path.dirname(kirchlab.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, kirchlab; print([m for m in sys.modules if m.startswith('scipy')])"
+    code = (
+        "import sys, kirchlab, kirchlab.cli; "
+        "print([m for m in sys.modules if m.startswith(('scipy', 'orjson'))])"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
