@@ -8,14 +8,15 @@ KLAB_COUNT, KLAB_N_MAX, KLAB_P); explicit flags win.
 
 ``resist`` writes the N x N matrix of the transform one row per write,
 each row formatted by one ``orjson`` call (shortest round-trip digits,
-40-60 ns per value).  Its json output is one compact line that parses to the
-same values as the earlier indented form of the same matrix; csv and plain
-output are unchanged byte for byte.
+40-60 ns per value).  Its json output is one line in orjson's compact form,
+the bytes of ``json.dumps(payload, separators=(",", ":"))``; csv and plain
+output print the same digits, one row per line.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -122,25 +123,32 @@ def _write_matrix(r: np.ndarray, fmt: str, kind: str) -> None:
     Each row is one ``orjson`` call, which prints ``repr``'s shortest
     round-trip digits but not its notation for non-zero |x| outside
     [1e-4, 1e16) (``1e16`` for ``1e+16``) or for nan and inf (``null``);
-    rows holding such values are joined from ``repr``.  The json text is
-    byte-equal to ``json.dumps({"kind", "n", "matrix"})``.
+    rows holding such values are joined from ``repr`` with the format's
+    separator.  The json text is byte-equal to
+    ``json.dumps({"kind", "n", "matrix"}, separators=(",", ":"))`` for a
+    finite matrix.
     """
     import orjson
 
-    sep = {"json": ", ", "csv": ",", "plain": " "}[fmt]
+    dumps, option, write = orjson.dumps, orjson.OPT_SERIALIZE_NUMPY, sys.stdout.write
     a = np.abs(r)
     odd = (((a < 1e-4) & (a != 0)) | ~(a < 1e16)).any(axis=1).tolist()
-    rows = (
-        sep.join(map(repr, row.tolist())) if o
-        else orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().replace(",", sep)
-        for row, o in zip(r, odd)
-    )
     if fmt == "json":
-        sys.stdout.write(f'{{"kind": {json.dumps(kind)}, "n": {r.shape[0]}, "matrix": [')
-        sys.stdout.writelines((", [" if i else "[") + row + "]" for i, row in enumerate(rows))
-        sys.stdout.write("]}\n")
-    else:
-        sys.stdout.writelines(row + "\n" for row in rows)
+        write(f'{{"kind":{json.dumps(kind)},"n":{r.shape[0]},"matrix":[')
+        for i, (row, o) in enumerate(zip(r, odd)):
+            text = ("[" + ",".join(map(repr, row.tolist())) + "]" if o
+                    else dumps(row, option=option).decode())
+            write("," + text if i else text)
+        write("]}\n")
+        return
+    sep = {"csv": ",", "plain": " "}[fmt]
+    for row, o in zip(r, odd):
+        if o:
+            text = sep.join(map(repr, row.tolist()))
+        else:
+            values = dumps(row, option=option)[1:-1]
+            text = (values if fmt == "csv" else values.replace(b",", b" ")).decode()
+        write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +236,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="kirchlab",
         description=(

@@ -14,6 +14,8 @@ Kirchhoff index O(n^2 + m), and the resistance matrix its own O(N^2).
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +26,16 @@ from .linalg import group_inverse_laplacian
 from .transforms import TransformKind, VertexClass, flat_id
 
 
+@functools.cache
 def path_chain_inverse(k: int) -> np.ndarray:
-    """Inverse of tridiag(-1, 2, -1) of order k: min(i, j) (l - max(i, j)) / l."""
+    """Inverse of tridiag(-1, 2, -1) of order k: min(i, j) (l - max(i, j)) / l.
+
+    Built once per k and read-only.
+    """
     j = np.arange(1, k + 1)
-    return np.minimum.outer(j, j) * (k + 1 - np.maximum.outer(j, j)) / (k + 1)
+    t_inv = np.minimum.outer(j, j) * (k + 1 - np.maximum.outer(j, j)) / (k + 1)
+    t_inv.flags.writeable = False
+    return t_inv
 
 
 @dataclass(frozen=True)
@@ -51,16 +59,26 @@ class StructuredOneInverse:
     @property
     def full(self) -> np.ndarray:
         """X assembled as a read-only N x N matrix, anew on every access."""
-        n, m, k = self.n, self.m, self.kind.path_vertices
-        weight = np.repeat(np.arange(1, k + 1) / (k + 1), m)
-        cols = np.arange(n, self.total_vertices)
-        p = np.eye(n, self.total_vertices)
-        p[np.tile(self.tail, k), cols] = 1.0 - weight
-        p[np.tile(self.head, k), cols] = weight
-        x = self.top_left_scale * (p.T @ self.lg_sharp @ p)
-        x[n:, n:] += np.kron(path_chain_inverse(k), np.eye(m))
+        x = _assemble(self)
         x.flags.writeable = False
         return x
+
+
+def _assemble(x: StructuredOneInverse) -> np.ndarray:
+    """X = s P^T L^# P + blkdiag(0, kron(T^{-1}, I_m)) as a new N x N array,
+    the only one built: T^{-1} is added at the block's k^2 m non-zeros."""
+    n, m, k = x.n, x.m, x.kind.path_vertices
+    weight = np.repeat(np.arange(1, k + 1) / (k + 1), m)
+    cols = np.arange(n, x.total_vertices)
+    p = np.eye(n, x.total_vertices)
+    p[np.tile(x.tail, k), cols] = 1.0 - weight
+    p[np.tile(x.head, k), cols] = weight
+    big = p.T @ x.lg_sharp @ p
+    big *= x.top_left_scale
+    t_inv, edges = path_chain_inverse(k), np.arange(m)
+    for a, b in itertools.product(range(k), repeat=2):
+        big[n + a * m + edges, n + b * m + edges] += t_inv[a, b]
+    return big
 
 
 def build_structured_inverse(g: Graph, kind: TransformKind) -> StructuredOneInverse:
@@ -109,14 +127,20 @@ def resistance(x: StructuredOneInverse, i: VertexClass, j: VertexClass) -> float
 
 
 def resistance_matrix(x: StructuredOneInverse) -> np.ndarray:
-    """All-pairs resistance distances, indexed by flat id.
+    """All-pairs resistance distances r_ij = X_ii + X_jj - (X_ij + X_ji),
+    indexed by flat id.
 
-    Exactly symmetric with an exactly zero diagonal: both triangles come from
-    the same commutative sums.
+    X is the only other N x N array built; once X + X^T is taken, its storage
+    holds X_ii + X_jj.  Exactly symmetric with an exactly zero diagonal: both
+    triangles come from the same commutative sums.
     """
-    full = x.full
-    d = np.diag(full)
-    return d[:, None] + d[None, :] - (full + full.T)
+    big = _assemble(x)
+    d = np.diag(big).copy()
+    r = np.add(big, big.T)
+    np.add(d[:, None], d[None, :], out=big)
+    np.subtract(big, r, out=r)
+    np.fill_diagonal(r, 0.0)
+    return r
 
 
 def kirchhoff(x: StructuredOneInverse) -> float:

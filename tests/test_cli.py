@@ -138,7 +138,7 @@ def test_resist_formats_at_size(tmp_path, capsys, kind):
         outputs[fmt] = capsys.readouterr().out
 
     payload = {"kind": kind, "n": r.shape[0], "matrix": r.tolist()}
-    assert_same_text(outputs["json"], json.dumps(payload) + "\n")
+    assert_same_text(outputs["json"], json.dumps(payload, separators=(",", ":")) + "\n")
     for fmt, sep in (("csv", ","), ("plain", " ")):
         expected = "".join(sep.join(repr(float(v)) for v in row) + "\n" for row in r)
         assert_same_text(outputs[fmt], expected)
@@ -183,12 +183,12 @@ GUARD_VALUES = [5e-5, np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16,
 
 def repr_text(r, fmt, kind="quad"):
     """The writer's output with every value printed by repr."""
-    sep = {"json": ", ", "csv": ",", "plain": " "}[fmt]
+    sep = {"json": ",", "csv": ",", "plain": " "}[fmt]
     rows = [sep.join(map(repr, row)) for row in r.tolist()]
     if fmt != "json":
         return "".join(row + "\n" for row in rows)
-    body = ", ".join(f"[{row}]" for row in rows)
-    return f'{{"kind": "{kind}", "n": {len(rows)}, "matrix": [{body}]}}\n'
+    body = ",".join(f"[{row}]" for row in rows)
+    return f'{{"kind":"{kind}","n":{len(rows)},"matrix":[{body}]}}\n'
 
 
 def written(capsys, r, fmt):
@@ -201,7 +201,7 @@ def assert_writes_as_repr(capsys, r):
         assert written(capsys, r, fmt) == repr_text(r, fmt)
     if np.isfinite(r).all():
         payload = {"kind": "quad", "n": r.shape[0], "matrix": r.tolist()}
-        assert written(capsys, r, "json") == json.dumps(payload) + "\n"
+        assert written(capsys, r, "json") == json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def test_write_matrix_prints_every_value_as_repr(capsys):
@@ -256,6 +256,25 @@ def test_resist_rejects_negative_tol(tmp_path, capsys):
     path = write_graph(tmp_path, K2_TEXT)
     assert main(["resist", "--tol", "-1", path]) == 2
     assert "positive" in capsys.readouterr().err
+
+
+def test_consecutive_calls_share_no_state(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; no flag of one call reaches the next
+    path = write_graph(tmp_path, K2_TEXT)
+    monkeypatch.delenv("KLAB_FORMAT", raising=False)
+    monkeypatch.delenv("KLAB_KIND", raising=False)
+    assert main(["resist", "--kind", "pent", "--format", "csv", path]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert main(["resist", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "quad" and payload["n"] == 4
+    with pytest.raises(SystemExit) as exc:
+        main(["resist", "--format", "xml", path])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["kirchhoff", path]) == 0
+    assert capsys.readouterr().out == "5.00000000000\n"
+    assert cli.build_parser() is cli.build_parser()
 
 
 # ------------------------------------------------------------------ kirchhoff

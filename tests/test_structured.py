@@ -1,10 +1,13 @@
 """Structured {1}-inverse engine: golden values, laws, oracle agreement."""
 
+import dataclasses
 import random
 import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from kirchlab.graph import DisconnectedGraphError, Graph, laplacian
 from kirchlab.oracle import oracle_kirchhoff, oracle_resistance_matrix
@@ -203,6 +206,41 @@ def test_resistance_matrix_is_exactly_symmetric_at_size():
             assert (np.diag(r) == 0.0).all()
 
 
+# (n, m) with N = n + km from 210 (quad) to 460 (pent)
+RESIST_SIZES = ((30, 90), (38, 114), (46, 138))
+
+
+def test_resistance_matrix_matches_full_at_size():
+    rng = random.Random(4230)
+    for n, m in RESIST_SIZES:
+        g = random_connected_sized(rng, n, m)
+        for kind in (QUAD, PENT):
+            x = build_structured_inverse(g, kind)
+            full = x.full
+            d = np.diag(full)
+            ref = d[:, None] + d[None, :] - (full + full.T)
+            r = resistance_matrix(x)
+            assert 210 <= r.shape[0] <= 460
+            assert (np.abs(r - ref) <= 1e-12 * np.abs(ref)).all()
+
+
+def test_resistance_matrix_holds_two_n_by_n_arrays():
+    # X and the result; P and P^T L^# are n x N and N x n
+    rng = random.Random(4231)
+    for n, m in RESIST_SIZES:
+        g = random_connected_sized(rng, n, m)
+        for kind in (QUAD, PENT):
+            x = build_structured_inverse(g, kind)
+            big = x.total_vertices
+            tracemalloc.start()
+            try:
+                resistance_matrix(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 8 * big**2 + 64 * n * big
+
+
 def test_orientation_reversal_invariance():
     # relabeling with k -> n-1-k swaps every edge's tail and head; original
     # resistances must be unchanged and path classes mirror accordingly
@@ -322,6 +360,75 @@ def test_foster_theorem_beyond_oracle_size():
         for u, v in t.edges
     )
     assert abs(total - (t.n - 1)) <= 1e-9 * t.n
+
+
+# ----------------------------------------------------------------- properties
+
+
+@st.composite
+def connected_graphs(draw):
+    """A connected graph on at most 10 vertices: a random tree plus extra
+    edges, in drawn order."""
+    n = draw(st.integers(2, 10))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    rest = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    if rest:
+        edges |= set(draw(st.lists(st.sampled_from(rest), unique=True, max_size=12)))
+    return Graph(n, tuple(draw(st.permutations(sorted(edges)))))
+
+
+def path_ids(g, edge, slot):
+    """Flat ids of path vertices ``slot`` of the factor edges ``edge``."""
+    return g.n + slot * g.m + edge
+
+
+def assert_same_engine(x, y, order):
+    """y is x with its flat ids renamed: y's vertex i is x's vertex order[i]."""
+    assert kirchhoff(y) == pytest.approx(kirchhoff(x), rel=1e-12)
+    r = resistance_matrix(x)[np.ix_(order, order)]
+    assert (np.abs(resistance_matrix(y) - r) <= 1e-12 * r.max()).all()
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(connected_graphs(), st.sampled_from([QUAD, PENT]), st.randoms(use_true_random=False))
+def test_invariant_under_edge_reordering(g, kind, rnd):
+    perm = list(range(g.m))
+    rnd.shuffle(perm)
+    h = Graph(g.n, tuple(g.edges[e] for e in perm))
+    order = np.concatenate([np.arange(g.n), *(
+        path_ids(g, np.array(perm), j) for j in range(kind.path_vertices))])
+    assert_same_engine(build_structured_inverse(g, kind), build_structured_inverse(h, kind), order)
+
+
+@PROPERTY
+@given(connected_graphs(), st.sampled_from([QUAD, PENT]), st.randoms(use_true_random=False))
+def test_invariant_under_tail_head_flip(g, kind, rnd):
+    # the detour of a flipped edge is walked from the other end
+    x = build_structured_inverse(g, kind)
+    flip = np.array([rnd.random() < 0.5 for _ in range(g.m)], dtype=bool)
+    y = dataclasses.replace(x, tail=np.where(flip, x.head, x.tail),
+                            head=np.where(flip, x.tail, x.head))
+    k, edge = kind.path_vertices, np.arange(g.m)
+    order = np.concatenate([np.arange(g.n), *(
+        path_ids(g, edge, np.where(flip, k - 1 - j, j)) for j in range(k))])
+    assert_same_engine(x, y, order)
+
+
+@PROPERTY
+@given(connected_graphs(), st.sampled_from([QUAD, PENT]), st.randoms(use_true_random=False))
+def test_invariant_under_vertex_relabelling(g, kind, rnd):
+    sigma = list(range(g.n))
+    rnd.shuffle(sigma)
+    h = Graph(g.n, tuple((sigma[u], sigma[v]) for u, v in g.edges))
+    # Graph puts the smaller label first, so some edges change orientation
+    flip = np.array([sigma[u] > sigma[v] for u, v in g.edges], dtype=bool)
+    k, edge = kind.path_vertices, np.arange(g.m)
+    order = np.concatenate([np.argsort(sigma), *(
+        path_ids(g, edge, np.where(flip, k - 1 - j, j)) for j in range(k))])
+    assert_same_engine(build_structured_inverse(g, kind), build_structured_inverse(h, kind), order)
 
 
 # --------------------------------------------------------------------- errors
