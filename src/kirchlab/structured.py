@@ -89,7 +89,7 @@ def build_structured_inverse(g: Graph, kind: TransformKind) -> StructuredOneInve
         raise GraphError("factor graph must have at least one edge")
 
     lg_sharp = group_inverse_laplacian(laplacian(g))
-    tail, head = _endpoints(g).T.copy()
+    tail, head = _endpoints(g).T
     for arr in (lg_sharp, tail, head):
         arr.flags.writeable = False
     return StructuredOneInverse(

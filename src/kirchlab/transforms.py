@@ -17,7 +17,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graph import Graph
+import numpy as np
+
+from .graph import _INT64_MAX, Graph, GraphError, _endpoints, _graph
 
 
 class TransformKind(enum.Enum):
@@ -123,14 +125,20 @@ def apply_transform(g: Graph, kind: TransformKind) -> Graph:
     """Edge i = (u, v) becomes, in order: (u, v), (u, Path1 i), ..., (Pathk i, v).
 
     k = ``kind.path_vertices``; the result has n + km vertices, (k + 2)m edges.
+    They are built as arrays and are valid by construction: path vertices
+    are new and distinct per edge, and each edge's last link is stored
+    normalised as (v, Pathk i).
     """
     n, m, k = g.n, g.m, kind.path_vertices
-    edges: list[tuple[int, int]] = []
-    for i, (u, v) in enumerate(g.edges):
-        chain = [u, *(n + slot * m + i for slot in range(k)), v]
-        edges.append((u, v))
-        edges.extend(zip(chain, chain[1:]))
-    return Graph(n + k * m, tuple(edges))
+    total = kind.vertex_count(n, m)
+    if total - 1 > _INT64_MAX:
+        raise GraphError(f"{kind.value} transform has {total} vertices, past int64 ids")
+    tail, head = _endpoints(g).T
+    path = np.arange(n, total, dtype=np.int64).reshape(k, m)  # path[j, i]: Path(j+1) i
+    ends = np.empty((m, k + 2, 2), dtype=np.int64)
+    ends[:, :, 0] = np.vstack([tail, tail, path[:-1], head]).T
+    ends[:, :, 1] = np.vstack([head, path, path[-1:]]).T
+    return _graph(total, ends.reshape(-1, 2))
 
 
 def quadrilateral(g: Graph) -> Graph:

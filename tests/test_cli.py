@@ -370,6 +370,20 @@ def test_malformed_input(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_huge_vertex_ids_exit_2(tmp_path, capsys):
+    # one edge to a vertex near 2**63: disconnected, found without O(n) work;
+    # one id past int64: a parse error
+    path = write_graph(tmp_path, "0 9223372036854775807\n")
+    assert main(["kirchhoff", "--kind", "quad", path]) == 2
+    assert "connected" in capsys.readouterr().err
+    assert main(["transform", "--kind", "pent", path]) == 2
+    assert "int64" in capsys.readouterr().err
+    path = write_graph(tmp_path, "0 9223372036854775808\n")
+    assert main(["resist", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 1: vertex id too large in '0 9223372036854775808'\n")
+
+
 def test_disconnected_input(tmp_path, capsys):
     path = write_graph(tmp_path, "4 2\n0 1\n2 3\n")
     assert main(["resist", path]) == 2

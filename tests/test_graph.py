@@ -1,13 +1,19 @@
 """Graph type, edge-list format, Laplacian, incidence split, connectivity."""
 
+import dataclasses
+import pickle
 import random
+import warnings
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from kirchlab.graph import (
     Graph,
     GraphError,
+    _endpoints,
     adjacency_matrix,
     graph_from_edges,
     incidence_split,
@@ -16,6 +22,7 @@ from kirchlab.graph import (
     parse_edge_list,
     render_edge_list,
 )
+from kirchlab.transforms import TransformKind, apply_transform
 
 
 def k2():
@@ -226,6 +233,241 @@ def test_is_connected_cases():
     assert is_connected(Graph(0, ()))
 
 
+def test_is_connected_needs_no_work_in_n():
+    assert not is_connected(Graph(2**62, ((0, 1),)))
+
+
 def test_graph_from_edges():
     g = graph_from_edges(3, [(2, 1), (0, 1)])
     assert g.edges == ((1, 2), (0, 1))
+
+
+def test_is_connected_matches_search_on_adversarial_shapes():
+    # a hub with the largest id, a bit-reversed path, random trees with and
+    # without one edge, and sparse random graphs
+    rng = random.Random(2718)
+    n = 64
+    bitrev = [int(format(i, "06b")[::-1], 2) for i in range(n)]
+    shapes = [
+        Graph(n, tuple((i, n - 1) for i in range(n - 1))),
+        Graph(n, tuple(zip(bitrev, bitrev[1:]))),
+        Graph(n, tuple((i, n - 1) for i in range(n - 2))),
+    ]
+    for _ in range(200):
+        k = rng.randint(2, 14)
+        order = list(range(k))
+        rng.shuffle(order)
+        tree = [(order[i], order[rng.randrange(i)]) for i in range(1, k)]
+        shapes.append(Graph(k, tuple(tree[: len(tree) - rng.randint(0, 1)])))
+        shapes.append(random_graph(rng, k, rng.choice([0.1, 0.3, 0.6])))
+    for g in shapes:
+        assert is_connected(g) == reference_is_connected(g), g
+
+
+def reference_is_connected(g):
+    adj = {u: set() for u in range(g.n)}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in adj[stack.pop()] - seen:
+            seen.add(w)
+            stack.append(w)
+    return g.n <= 1 or len(seen) == g.n
+
+
+# ----------------------------------------------- array core against references
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def reference_graph(n, edges):
+    """The per-edge scan that validated edges before they were held as an array."""
+    if n < 0:
+        raise GraphError("vertex count must be non-negative")
+    seen = set()
+    normalized = []
+    for u, v in edges:
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        a, b = (u, v) if u < v else (v, u)
+        if a < 0 or b >= n:
+            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+        if (a, b) in seen:
+            raise GraphError(f"duplicate edge ({a}, {b})")
+        seen.add((a, b))
+        normalized.append((a, b))
+    return n, tuple(normalized)
+
+
+def reference_parse(text):
+    """The line scan and header rule of the parser before its one-pass reader.
+
+    The one deliberate change is the int64 check on ids.
+    """
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphError(f"line {lineno}: expected two integers, got {line!r}")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphError(f"line {lineno}: non-integer token in {line!r}") from None
+        if a < 0 or b < 0:
+            raise GraphError(f"line {lineno}: negative vertex id in {line!r}")
+        if max(a, b) >= 2**63:
+            raise GraphError(f"line {lineno}: vertex id too large in {line!r}")
+        rows.append((a, b))
+    if not rows:
+        return reference_graph(0, ())
+    head_n, head_m = rows[0]
+    rest = rows[1:]
+    is_header = (
+        (head_n, head_m) != (0, 0)
+        and len(rest) == head_m
+        and all(u < head_n and v < head_n for u, v in rest)
+    )
+    if is_header:
+        return reference_graph(head_n, rest)
+    return reference_graph(1 + max(max(u, v) for u, v in rows), rows)
+
+
+def outcome(build, *args):
+    try:
+        got = build(*args)
+    except GraphError as exc:
+        return "error", str(exc)
+    return ("graph", got.n, got.edges) if isinstance(got, Graph) else ("graph", *got)
+
+
+# every character the two readers could disagree on: Unicode line breaks
+# and spaces that str.split and splitlines know, signs, separators, and a
+# non-ASCII digit that int() accepts
+ALPHABET = "0123456789 \t\n\r\x0b\x0c\x1c\xa0#-+_.\u0663"
+PLAIN = "0123456789 \t\n"
+INNER = (" ", "\t", " \t ", "  ", "\xa0", "\x0c", "_", "+")
+LINE_END = ("\n", "\n\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", " \n", "\t\n", "\n# c 1\n")
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list-like text: small ids, separators from both readers' sets."""
+    rows = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=10))
+    if draw(st.booleans()) and rows:
+        rows.insert(0, (draw(st.integers(0, 9)), len(rows)))
+    text = ""
+    for u, v in rows:
+        text += f"{u}{draw(st.sampled_from(INNER[:4] if draw(st.booleans()) else INNER))}{v}"
+        text += draw(st.sampled_from(LINE_END[:1] if draw(st.booleans()) else LINE_END))
+    return text
+
+
+@PROPERTY
+@given(st.one_of(
+    st.text(alphabet=ALPHABET, max_size=30),
+    st.text(alphabet=PLAIN, max_size=40),
+    edge_list_texts(),
+))
+def test_parse_matches_line_scan(text):
+    assert outcome(parse_edge_list, text) == outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("text", [
+    "1 2\x0c3 4",  # one numpy row of four values, two lines to splitlines
+    "1 2\r\n0 1\n",
+    "3 2\n0 1\n1 2 0\n",
+    "2 1\n0 \u0663\n",
+    "9223372036854775807 0\n",
+    "9223372036854775808 0\n",
+    "0 1\n\n \t\n1 2\n",
+])
+def test_parse_matches_line_scan_on_known_traps(text):
+    assert outcome(parse_edge_list, text) == outcome(reference_parse, text)
+
+
+@PROPERTY
+@given(
+    st.integers(-1, 6),
+    st.lists(st.tuples(st.integers(-3, 8), st.integers(-3, 8)), max_size=12),
+)
+def test_graph_checks_match_edge_scan(n, edges):
+    edges = tuple(edges)
+    assert outcome(Graph, n, edges) == outcome(reference_graph, n, edges)
+
+
+@PROPERTY
+@given(st.data())
+def test_render_parse_round_trip(data):
+    n = data.draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    g = Graph(n, tuple((v, u) if f else (u, v) for (u, v), f in zip(chosen, flips)))
+    assert parse_edge_list(render_edge_list(g)) == g
+
+
+def test_parse_of_empty_text_raises_no_warning():
+    # numpy's loadtxt warns on input without data
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text in ("", "\n", "  \n\t\n", "# only a comment\n", "# a\n\n# b"):
+            g = parse_edge_list(text)
+            assert g.n == 0 and g.m == 0
+
+
+def test_parse_rejects_ids_past_int64():
+    with pytest.raises(GraphError, match="line 2: vertex id too large"):
+        parse_edge_list("0 1\n1 9223372036854775808\n")
+    g = parse_edge_list("0 9223372036854775807\n")
+    assert g.n == 2**63 and g.edges == ((0, 2**63 - 1),)
+
+
+# --------------------------------------------------------- endpoint values
+
+
+def test_graph_rejects_non_integer_ids():
+    # a float id used to be stored and then truncated by the int64 Laplacian
+    for edges in (((0.5, 1),), ((0, 1), (1.0, 2)), (("0", 1),), ((None, 1),)):
+        with pytest.raises(GraphError, match="non-integer vertex id"):
+            Graph(3, edges)
+
+
+def test_graph_rejects_ids_past_int64_and_non_pairs():
+    with pytest.raises(GraphError, match="fit in int64"):
+        Graph(3, ((0, 2**64),))
+    for edges in (((0, 1, 2),), ((0, 1), (2,)), ((0, (1, 2)),)):
+        with pytest.raises(GraphError, match="pairs"):
+            Graph(3, edges)
+
+
+def test_graph_accepts_numpy_integers():
+    g = Graph(3, ((np.int64(2), np.int32(0)), (np.uint8(1), 2)))
+    assert g == Graph(3, ((0, 2), (1, 2)))
+    assert all(type(x) is int for e in g.edges for x in e)
+
+
+def test_graph_checks_duplicates_past_the_int64_code_range():
+    # n * n overflows int64 here, so duplicates are found on ranked ids
+    n = 2**40
+    g = Graph(n, ((0, n - 1), (1, n - 2), (n - 1, 1), (n - 2, 0)))
+    assert g.m == 4
+    with pytest.raises(GraphError, match=f"duplicate edge \\(1, {n - 2}\\)"):
+        Graph(n, ((0, n - 1), (n - 2, 1), (0, 1), (1, n - 2)))
+
+
+def test_graph_is_frozen_hashable_and_picklable():
+    g = p3()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.n = 4
+    assert hash(g) == hash(Graph(3, ((1, 0), (2, 1))))
+    assert repr(g) == "Graph(n=3, edges=((0, 1), (1, 2)))"
+    assert pickle.loads(pickle.dumps(g)) == g
+    assert g != Graph(3, ((1, 2), (0, 1))) and g != Graph(4, g.edges)
+    for h in (g, parse_edge_list("0 1\n1 2\n"), apply_transform(g, TransformKind.PENTAGONAL)):
+        with pytest.raises(ValueError):
+            _endpoints(h)[0, 0] = 1

@@ -131,3 +131,25 @@ def test_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_pipeline_leaves_numpy_ma_unloaded():
+    # numpy.ma is imported lazily by some numpy calls (np.unique among them)
+    # and adds about a MiB of resident memory to every process that loads it
+    src = os.path.dirname(os.path.dirname(kirchlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys\n"
+        "from kirchlab import TransformKind, apply_transform, build_structured_inverse\n"
+        "from kirchlab import kirchhoff, parse_edge_list\n"
+        "g = parse_edge_list('4 5\\n0 1\\n1 2\\n2 3\\n3 0\\n0 2\\n')\n"
+        "for kind in TransformKind:\n"
+        "    kirchhoff(build_structured_inverse(g, kind))\n"
+        "    apply_transform(g, kind)\n"
+        "parse_edge_list('0 1\\r\\n1 2\\n')\n"
+        "print([m for m in sys.modules if m == 'numpy.ma' or m.startswith('scipy')])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

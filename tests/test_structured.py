@@ -195,7 +195,8 @@ def test_resistance_matrix_properties():
 
 
 def test_resistance_matrix_is_exactly_symmetric_at_size():
-    # the resist writer formats the upper triangle only and mirrors it
+    # resist writes whole rows, so an entry and its mirror are printed from
+    # separate values: they must be bit-equal for the output to be symmetric
     rng = random.Random(322)
     for n, m in ((46, 138), (40, 130)):
         g = random_connected_sized(rng, n, m)
