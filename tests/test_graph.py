@@ -242,7 +242,7 @@ def test_graph_from_edges():
     assert g.edges == ((1, 2), (0, 1))
 
 
-def test_is_connected_matches_search_on_adversarial_shapes():
+def test_is_connected_matches_reference_search():
     # a hub with the largest id, a bit-reversed path, random trees with and
     # without one edge, and sparse random graphs
     rng = random.Random(2718)
