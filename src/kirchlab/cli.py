@@ -25,8 +25,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import DisconnectedGraphError, GraphError, parse_edge_list, render_edge_list
-from .oracle import oracle_kirchhoff
+from .graph import (DisconnectedGraphError, GraphError, is_connected, laplacian,
+                    parse_edge_list, render_edge_list)
+from .linalg import group_inverse_laplacian
 from .structured import build_structured_inverse, kirchhoff, resistance_matrix
 from .transforms import TransformKind, apply_transform
 from .verify import GenerationBudgetError, audit_theorems, run_corpus
@@ -65,10 +66,7 @@ def _resolve(args: argparse.Namespace, name: str, cast: Callable):
 
 
 def _resolve_kind(args: argparse.Namespace, allow_none: bool = False):
-    value = getattr(args, "kind")
-    if value is None:
-        raw = os.environ.get(ENV_PREFIX + "KIND")
-        value = raw if raw is not None else _DEFAULTS["kind"]
+    value = _resolve(args, "kind", str)
     if value == "none":
         if allow_none:
             return None
@@ -197,7 +195,12 @@ def cmd_kirchhoff(args: argparse.Namespace) -> int:
     kind = _resolve_kind(args, allow_none=True)
     g = _read_graph(args.input)
     if kind is None:
-        value = oracle_kirchhoff(g)
+        if g.n == 0:
+            raise GraphError("empty graph")
+        # checked here: L# of a disconnected G raises SingularMatrixError, not an exit 2
+        if not is_connected(g):
+            raise DisconnectedGraphError("resistance distance requires a connected graph")
+        value = g.n * float(np.trace(group_inverse_laplacian(laplacian(g))))
     else:
         value = kirchhoff(build_structured_inverse(g, kind))
     print(format_significant(value))

@@ -191,8 +191,8 @@ def _first_repeat(codes: np.ndarray) -> int:
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from any iterable of endpoint pairs."""
-    return Graph(n, tuple((int(u), int(v)) for u, v in edges))
+    """Build a Graph from any iterable of endpoint pairs, under Graph's id rules."""
+    return Graph(n, tuple(map(tuple, edges)))
 
 
 # a text the one-pass reader takes: ASCII digits, spaces, tabs and newlines,

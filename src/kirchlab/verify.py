@@ -14,11 +14,17 @@ The audit transcribes the published closed-form clauses for the two
 transforms exactly as typeset, suspected typos included, and measures each
 clause against the brute-force oracle.  Repairs are made only where the
 typeset expression is not even dimensionally conformable, and every such
-repair is logged in the clause notes.
+repair is logged in the clause notes.  The clauses are one table, a row of
+(id, domains, note, terms) each, read by one evaluator: a term is a constant,
+a multiple of I_m, or a diagonal, trace, entry sum or the whole of a block
+W_p^T L^# W_q, with W = x b1 + y b2.  Terms are summed left to right, so a
+value may differ in its last bits from another grouping of the same body
+(at most 8.9e-16 of the printed scale on 137 seeded graphs).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,30 +251,26 @@ class AuditReport:
         }
 
 
-def _domain(label: str, printed, oracle, skip_diagonal: bool = False) -> ClauseDomain:
-    printed_a = np.asarray(printed, dtype=np.float64)
-    oracle_a = np.asarray(oracle, dtype=np.float64)
-    delta = np.abs(printed_a - oracle_a)
-    if skip_diagonal:
-        delta = delta.copy()
-        np.fill_diagonal(delta, 0.0)
-    return ClauseDomain(
-        label=label, printed=printed_a, oracle=oracle_a, max_delta=float(delta.max())
-    )
-
-
-def _clause(cid: str, domains: list[ClauseDomain], notes: str = "") -> AuditClause:
-    return AuditClause(
-        id=cid,
-        domains=tuple(domains),
-        max_delta=max(d.max_delta for d in domains),
-        notes=notes,
-    )
-
-
-def _per_domain_note(prefix: str, domains: list[ClauseDomain]) -> str:
-    parts = ", ".join(f"{d.label} delta {d.max_delta:.6e}" for d in domains)
-    return f"{prefix}: {parts}"
+# Each clause is a row (id, domains, note, terms) and its typeset body the sum
+# of its terms.  A term is (shape, coefficient) or (shape, coefficient, p, q),
+# where the shape is one of
+#   "c"     the constant 1               "I"     I_m
+#   "Mii"   entry (i, j) is M_ii         "Mjj"   entry (i, j) is M_jj
+#   "M"     M                            "NtrM"  N tr M        "1M1"  1^T M 1
+#   "m"     m                            "Nm"    N m
+# and M = W_p^T L^# W_q.  W_p = x b1 + y b2 for the (x, y) named p below;
+# "V" is the identity, so (V, V) is L^# and (V, q) is L^# W_q.  A domain
+# "AxB" compares against the oracle's rows in class A and columns in class
+# B, leaving out the diagonal when A = B; "scalar" compares against Kf.  A
+# clause with several domains appends each domain's delta to its note.
+_WEIGHTS = {
+    "w1": (0.5, 0.25), "w2": (2.0 / 3.0, 1.0 / 3.0),
+    "w3": (0.25, 0.5), "w4": (1.0 / 3.0, 2.0 / 3.0),
+    "f1": (0.6, 0.2), "f2": (0.4, 0.4), "f3": (0.2, 0.6),
+    "g1": (0.75, 0.25), "g2": (0.5, 0.5), "g3": (0.25, 0.75),
+    "q": (0.25, 0.25),
+    "b1": (1.0, 0.0), "b2": (0.0, 1.0), "b": (1.0, 1.0),
+}
 
 _SPLIT_REPAIR_NOTE = (
     "incidence split applied in its conformable reading "
@@ -276,240 +278,57 @@ _SPLIT_REPAIR_NOTE = (
     "does not conform"
 )
 
-
-def _kf_sums(g: Graph, ls: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> tuple:
-    """Kf(G), then the traces and entry sums of b_i^T L^# b_j for ij = 11, 12, 21, 22."""
-    prods = [bi.T @ ls @ bj for bi in (b1, b2) for bj in (b1, b2)]
-    return (g.n * float(np.trace(ls)), *(float(np.trace(p)) for p in prods),
-            *(float(p.sum()) for p in prods))
-
-
-def _audit_quadrilateral(g: Graph, ls: np.ndarray, b1: np.ndarray, b2: np.ndarray,
-                         r_t: np.ndarray, kf_t: float) -> tuple[AuditClause, ...]:
-    n, m = g.n, g.m
-    v0 = slice(0, n)
-    v1 = slice(n, n + m)
-    v2 = slice(n + m, n + 2 * m)
-    ls_d = np.diag(ls)
-    eye = np.eye(m)
-
-    w1 = 0.5 * b1 + 0.25 * b2
-    w2 = (2.0 / 3.0) * b1 + (1.0 / 3.0) * b2
-    w3 = 0.25 * b1 + 0.5 * b2
-    w4 = (1.0 / 3.0) * b1 + (2.0 / 3.0) * b2
-    t_p = w1.T @ ls @ w2
-    t_n = w3.T @ ls @ w4
-    t_q = w1.T @ ls @ w4
-    corner1 = ls @ w1
-
-    clause_i = _clause(
-        "3.1.i",
-        [
-            _domain(
-                "VxV",
-                0.75 * ls_d[:, None] + 0.75 * ls_d[None, :] - 1.5 * ls,
-                r_t[v0, v0],
-                skip_diagonal=True,
-            )
-        ],
-    )
-
-    printed_ii = 0.75 * ls_d[:, None] + np.diag(t_p)[None, :] - 2.0 * corner1
-    domains_ii = [
-        _domain("VxV1", printed_ii, r_t[v0, v1]),
-        _domain("VxV2", printed_ii, r_t[v0, v2]),
-    ]
-    clause_ii = _clause(
-        "3.1.ii",
-        domains_ii,
-        _per_domain_note(
-            "index domain typeset ambiguously; evaluated separately", domains_ii
-        ),
-    )
-
-    clause_iii = _clause(
-        "3.1.iii",
-        [
-            _domain(
-                "V1xV2",
-                4.0 / 3.0
-                + np.diag(t_p)[:, None]
-                + np.diag(t_n)[None, :]
-                - (eye / 3.0 + t_q),
-                r_t[v1, v2],
-            )
-        ],
-    )
-
-    printed_iv = (
-        4.0 / 3.0 + np.diag(t_p)[:, None] + np.diag(t_p)[None, :] - 2.0 * t_p
-    )
-    domains_iv = [
-        _domain("V1xV1", printed_iv, r_t[v1, v1], skip_diagonal=True),
-        _domain("V2xV2", printed_iv, r_t[v2, v2], skip_diagonal=True),
-    ]
-    clause_iv = _clause(
-        "3.1.iv",
-        domains_iv,
-        _per_domain_note("evaluated within each class separately", domains_iv),
-    )
-
-    kf_g, tr11, tr12, tr21, tr22, q11, q12, q21, q22 = _kf_sums(g, ls, b1, b2)
-    printed_kf = (
-        (n + 2 * m)
-        * (3.0 / (4.0 * n) * kf_g + 5.0 / 12.0 * (tr11 + tr12) + (tr21 + tr22) / 3.0)
-        - 0.75 * (q11 + q22 + q12 + q21)
-        - 2.0 * m
-    )
-    clause_v = _clause(
-        "3.1.v",
-        [_domain("scalar", printed_kf, kf_t)],
-        _SPLIT_REPAIR_NOTE,
-    )
-
-    return (clause_i, clause_ii, clause_iii, clause_iv, clause_v)
-
-
-def _audit_pentagonal(g: Graph, ls: np.ndarray, b1: np.ndarray, b2: np.ndarray,
-                      r_t: np.ndarray, kf_t: float) -> tuple[AuditClause, ...]:
-    n, m = g.n, g.m
-    v0 = slice(0, n)
-    v1 = slice(n, n + m)
-    v2 = slice(n + m, n + 2 * m)
-    v3 = slice(n + 2 * m, n + 3 * m)
-    ls_d = np.diag(ls)
-    eye = np.eye(m)
-
-    f1 = 0.6 * b1 + 0.2 * b2
-    f2 = 0.4 * b1 + 0.4 * b2
-    f3 = 0.2 * b1 + 0.6 * b2
-    g1 = 0.75 * b1 + 0.25 * b2
-    g2 = 0.5 * b1 + 0.5 * b2
-    g3 = 0.25 * b1 + 0.75 * b2
-    s11 = f1.T @ ls @ g1
-    s22 = f2.T @ ls @ g2
-    s33 = f3.T @ ls @ g3
-    s12 = f1.T @ ls @ g2
-    s13 = f1.T @ ls @ g3
-    s_q = (0.25 * b1 + 0.25 * b2).T @ ls @ g3
-
-    clause_i = _clause(
-        "4.1.i",
-        [
-            _domain(
-                "VxV",
-                0.8 * ls_d[:, None] + 0.8 * ls_d[None, :] - 1.6 * ls,
-                r_t[v0, v0],
-                skip_diagonal=True,
-            )
-        ],
-    )
-    clause_ii = _clause(
-        "4.1.ii",
-        [
-            _domain(
-                "VxV1",
-                0.8 * ls_d[:, None]
-                + (0.75 + np.diag(s11))[None, :]
-                - 2.0 * (ls @ f1),
-                r_t[v0, v1],
-            )
-        ],
-    )
-    clause_iii = _clause(
-        "4.1.iii",
-        [
-            _domain(
-                "VxV2",
-                0.8 * ls_d[:, None]
-                + (1.0 + np.diag(s11))[None, :]
-                - 2.0 * (ls @ f2),
-                r_t[v0, v2],
-            )
-        ],
-    )
-    clause_iv = _clause(
-        "4.1.iv",
-        [
-            _domain(
-                "VxV3",
-                0.8 * ls_d[:, None] + np.diag(s33)[None, :] - 2.0 * (ls @ f3),
-                r_t[v0, v3],
-            )
-        ],
-    )
-    clause_v = _clause(
-        "4.1.v",
-        [
-            _domain(
-                "V1xV2",
-                1.25
-                + np.diag(s11)[:, None]
-                + np.diag(s22)[None, :]
-                - (0.5 * eye + s12),
-                r_t[v1, v2],
-            )
-        ],
-    )
-    clause_vi = _clause(
-        "4.1.vi",
-        [
-            _domain(
-                "V1xV3",
-                1.5
-                + np.diag(s11)[:, None]
-                + np.diag(s33)[None, :]
-                - (0.25 * eye + s13),
-                r_t[v1, v3],
-            )
-        ],
-    )
-    clause_vii = _clause(
-        "4.1.vii",
-        [
-            _domain(
-                "V2xV3",
-                1.75
-                + np.diag(s22)[:, None]
-                + np.diag(s33)[None, :]
-                - (0.5 * eye + s_q),
-                r_t[v2, v3],
-            )
-        ],
-    )
-
-    kf_g, tr11, tr12, _, tr22, q11, q12, q21, q22 = _kf_sums(g, ls, b1, b2)
-    # the 1/2 group doubles tr(b1^T L^# b2), exactly as typeset
-    printed_kf = (
-        (n + 3 * m)
-        * (
-            4.0 / (5.0 * n) * kf_g
-            + 0.61 * (tr11 + tr22)
-            + 0.5 * (tr12 + tr12)
-            + 2.5 * m
-        )
-        - 141.0 / 80.0 * q11
-        - 131.0 / 80.0 * q12
-        - 133.0 / 80.0 * q21
-        - 127.0 / 80.0 * q22
-        - 5.0 * m
-    )
-    clause_viii = _clause(
-        "4.1.viii",
-        [_domain("scalar", printed_kf, kf_t)],
-        _SPLIT_REPAIR_NOTE,
-    )
-
-    return (
-        clause_i,
-        clause_ii,
-        clause_iii,
-        clause_iv,
-        clause_v,
-        clause_vi,
-        clause_vii,
-        clause_viii,
-    )
+_CLAUSES = {
+    TransformKind.QUADRILATERAL: (
+        ("3.1.i", ("VxV",), "", (
+            ("Mii", 0.75, "V", "V"), ("Mjj", 0.75, "V", "V"), ("M", -1.5, "V", "V"))),
+        ("3.1.ii", ("VxV1", "VxV2"),
+         "index domain typeset ambiguously; evaluated separately", (
+            ("Mii", 0.75, "V", "V"), ("Mjj", 1.0, "w1", "w2"), ("M", -2.0, "V", "w1"))),
+        ("3.1.iii", ("V1xV2",), "", (
+            ("c", 4.0 / 3.0), ("Mii", 1.0, "w1", "w2"), ("Mjj", 1.0, "w3", "w4"),
+            ("I", -1.0 / 3.0), ("M", -1.0, "w1", "w4"))),
+        ("3.1.iv", ("V1xV1", "V2xV2"), "evaluated within each class separately", (
+            ("c", 4.0 / 3.0), ("Mii", 1.0, "w1", "w2"), ("Mjj", 1.0, "w1", "w2"),
+            ("M", -2.0, "w1", "w2"))),
+        # (n + 2m)(3/(4n) Kf(G) + 5/12 (tr11 + tr12) + 1/3 (tr21 + tr22))
+        # - 3/4 (q11 + q22 + q12 + q21) - 2m
+        ("3.1.v", ("scalar",), _SPLIT_REPAIR_NOTE, (
+            ("NtrM", 0.75, "V", "V"), ("NtrM", 5.0 / 12.0, "b1", "b"),
+            ("NtrM", 1.0 / 3.0, "b2", "b"), ("1M1", -0.75, "b", "b"), ("m", -2.0))),
+    ),
+    TransformKind.PENTAGONAL: (
+        ("4.1.i", ("VxV",), "", (
+            ("Mii", 0.8, "V", "V"), ("Mjj", 0.8, "V", "V"), ("M", -1.6, "V", "V"))),
+        ("4.1.ii", ("VxV1",), "", (
+            ("Mii", 0.8, "V", "V"), ("c", 0.75), ("Mjj", 1.0, "f1", "g1"),
+            ("M", -2.0, "V", "f1"))),
+        ("4.1.iii", ("VxV2",), "", (
+            ("Mii", 0.8, "V", "V"), ("c", 1.0), ("Mjj", 1.0, "f1", "g1"),
+            ("M", -2.0, "V", "f2"))),
+        ("4.1.iv", ("VxV3",), "", (
+            ("Mii", 0.8, "V", "V"), ("Mjj", 1.0, "f3", "g3"), ("M", -2.0, "V", "f3"))),
+        ("4.1.v", ("V1xV2",), "", (
+            ("c", 1.25), ("Mii", 1.0, "f1", "g1"), ("Mjj", 1.0, "f2", "g2"),
+            ("I", -0.5), ("M", -1.0, "f1", "g2"))),
+        ("4.1.vi", ("V1xV3",), "", (
+            ("c", 1.5), ("Mii", 1.0, "f1", "g1"), ("Mjj", 1.0, "f3", "g3"),
+            ("I", -0.25), ("M", -1.0, "f1", "g3"))),
+        ("4.1.vii", ("V2xV3",), "", (
+            ("c", 1.75), ("Mii", 1.0, "f2", "g2"), ("Mjj", 1.0, "f3", "g3"),
+            ("I", -0.5), ("M", -1.0, "q", "g3"))),
+        # (n + 3m)(4/(5n) Kf(G) + 0.61 (tr11 + tr22) + 1/2 (tr12 + tr12) + 5m/2)
+        # - (141 q11 + 131 q12 + 133 q21 + 127 q22)/80 - 5m; the 1/2 group
+        # doubles tr(b1^T L^# b2), exactly as typeset
+        ("4.1.viii", ("scalar",), _SPLIT_REPAIR_NOTE, (
+            ("NtrM", 0.8, "V", "V"), ("NtrM", 0.61, "b1", "b1"),
+            ("NtrM", 0.61, "b2", "b2"), ("NtrM", 0.5, "b1", "b2"),
+            ("NtrM", 0.5, "b1", "b2"), ("Nm", 2.5),
+            ("1M1", -141.0 / 80.0, "b1", "b1"), ("1M1", -131.0 / 80.0, "b1", "b2"),
+            ("1M1", -133.0 / 80.0, "b2", "b1"), ("1M1", -127.0 / 80.0, "b2", "b2"),
+            ("m", -5.0))),
+    ),
+}
 
 
 def audit_theorems(g: Graph, kind: TransformKind) -> AuditReport:
@@ -523,6 +342,8 @@ def audit_theorems(g: Graph, kind: TransformKind) -> AuditReport:
         raise DisconnectedGraphError("audit requires a connected factor graph")
     if g.m == 0:
         raise GraphError("audit requires at least one edge")
+    n, m = g.n, g.m
+    big_n = kind.vertex_count(n, m)
     tg = apply_transform(g, kind)
     r_t = oracle_resistance_matrix(tg)
     kf_t = oracle_kirchhoff(tg)
@@ -530,8 +351,57 @@ def audit_theorems(g: Graph, kind: TransformKind) -> AuditReport:
     split = incidence_split(g)
     b1 = split.b1.astype(np.float64)
     b2 = split.b2.astype(np.float64)
-    if kind is TransformKind.QUADRILATERAL:
-        clauses = _audit_quadrilateral(g, ls, b1, b2, r_t, kf_t)
-    else:
-        clauses = _audit_pentagonal(g, ls, b1, b2, r_t, kf_t)
-    return AuditReport(clauses=clauses)
+    slices = dict(zip(("V", "V1", "V2", "V3"), (s for _, s in _class_slices(kind, n, m))))
+
+    @functools.cache
+    def weight(name: str) -> np.ndarray:
+        x, y = _WEIGHTS[name]
+        return x * b1 + y * b2
+
+    @functools.cache
+    def block(p: str, q: str) -> np.ndarray:
+        if p == "V":
+            return ls if q == "V" else ls @ weight(q)
+        return weight(p).T @ ls @ weight(q)
+
+    def term(shape: str, c: float, p: str = "", q: str = ""):
+        if shape == "c":
+            return c
+        if shape == "I":
+            return c * np.eye(m)
+        if shape in ("m", "Nm"):
+            return c * (big_n * m if shape == "Nm" else m)
+        mat = block(p, q)
+        if shape == "Mii":
+            value = mat.diagonal()[:, None]
+        elif shape == "Mjj":
+            value = mat.diagonal()[None, :]
+        elif shape == "M":
+            value = mat
+        elif shape == "NtrM":
+            value = big_n * float(mat.trace())
+        else:  # "1M1"
+            value = float(mat.sum())
+        return value if c == 1.0 else c * value
+
+    clauses = []
+    for cid, labels, note, terms in _CLAUSES[kind]:
+        printed = term(*terms[0])
+        for t in terms[1:]:
+            printed = printed + term(*t)
+        printed = np.asarray(printed, dtype=np.float64)
+        domains = []
+        for label in labels:
+            rows, _, cols = label.partition("x")
+            oracle = np.asarray(kf_t if label == "scalar"
+                                else r_t[slices[rows], slices[cols]], dtype=np.float64)
+            delta = np.abs(printed - oracle)
+            if rows == cols:
+                np.fill_diagonal(delta, 0.0)
+            domains.append(ClauseDomain(label, printed, oracle, float(delta.max())))
+        if len(domains) > 1:
+            note += ": " + ", ".join(f"{d.label} delta {d.max_delta:.6e}"
+                                     for d in domains)
+        clauses.append(AuditClause(cid, tuple(domains),
+                                   max(d.max_delta for d in domains), note))
+    return AuditReport(clauses=tuple(clauses))

@@ -14,9 +14,10 @@ from hypothesis import HealthCheck, given, settings
 
 from kirchlab import cli
 from kirchlab.cli import format_significant, main
-from kirchlab.graph import parse_edge_list
+from kirchlab.graph import parse_edge_list, render_edge_list
 from kirchlab.structured import build_structured_inverse, resistance_matrix
 from kirchlab.transforms import TransformKind
+from kirchlab.verify import random_connected_graph
 
 K2_TEXT = "2 1\n0 1\n"
 P3_TEXT = "3 2\n0 1\n1 2\n"
@@ -293,6 +294,31 @@ def test_kirchhoff_p3_quadrilateral(tmp_path, capsys):
     path = write_graph(tmp_path, P3_TEXT)
     assert main(["kirchhoff", path]) == 0
     assert capsys.readouterr().out == "25.0000000000\n"
+
+
+@pytest.mark.parametrize("graph, digits", [
+    (None, "4.00000000000"),
+    ((5, 0), "8.18181818182"),
+    ((9, 3), "26.5465838509"),
+    ((30, 1), "57.4820538973"),
+    ((59, 4), "119.764519089"),
+])
+def test_kirchhoff_of_the_factor_graph_digits(tmp_path, capsys, graph, digits):
+    # Kf(G) of P3 and of random_connected_graph(n, 0.5, seed) as the SVD
+    # oracle printed it; n tr L# prints the same digits (K2: digit strings above)
+    text = P3_TEXT if graph is None else render_edge_list(
+        random_connected_graph(graph[0], 0.5, graph[1]))
+    assert main(["kirchhoff", "--kind", "none", write_graph(tmp_path, text)]) == 0
+    assert capsys.readouterr().out == digits + "\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "error: empty graph\n"),
+    ("4 2\n0 1\n2 3\n", "error: resistance distance requires a connected graph\n"),
+])
+def test_kirchhoff_of_the_factor_graph_bad_input(tmp_path, capsys, text, message):
+    assert main(["kirchhoff", "--kind", "none", write_graph(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == message
 
 
 def test_format_significant():

@@ -242,6 +242,13 @@ def test_graph_from_edges():
     assert g.edges == ((1, 2), (0, 1))
 
 
+def test_graph_from_edges_rejects_non_integer_ids():
+    # ids are not truncated: 0.5 and 1.9 do not become 0 and 1
+    with pytest.raises(GraphError, match=r"^non-integer vertex id 0\.5$"):
+        graph_from_edges(3, [(0.5, 2), (1.9, 0)])
+    assert graph_from_edges(3, np.array([[2, 1], [0, 1]])) == Graph(3, ((1, 2), (0, 1)))
+
+
 def test_is_connected_matches_reference_search():
     # a hub with the largest id, a bit-reversed path, random trees with and
     # without one edge, and sparse random graphs

@@ -258,3 +258,40 @@ def test_audit_rejects_bad_input():
         audit_theorems(Graph(4, ((0, 1), (2, 3))), QUAD)
     with pytest.raises(ValueError):
         audit_theorems(Graph(1, ()), QUAD)
+
+
+# every clause's max_delta as the two hand-written audits gave it, before the
+# clauses became one table; the table must reproduce each to 1e-10
+_PINNED_MAX_DELTAS = {
+    "P3": (
+        (6.661338147750939e-16, 0.9166666666666672, 0.4166666666666663,
+         1.5543122344752192e-15, 19.25),
+        (4.440892098500626e-16, 1.1102230246251565e-15, 0.11666666666666825,
+         0.7499999999999994, 0.6555555555555519, 0.311111111111112,
+         0.6986111111111111, 1.2544444444444025),
+    ),
+    1: (
+        (4.440892098500626e-15, 0.8483088045442821, 0.5802493043004269,
+         0.27769171185127584, 791.5510801273782),
+        (1.7763568394002505e-15, 4.884981308350689e-15, 0.10428608313968613,
+         0.7500000000000011, 0.6082900612980668, 0.4931945759340537,
+         0.8822613344043748, 42.57325931663627),
+    ),
+    2: (
+        (7.771561172376096e-16, 0.8216564137616775, 0.46446292498924047,
+         0.22131322624743577, 1205.6975108225106),
+        (1.4432899320127035e-15, 4.218847493575595e-15, 0.09025214551530336,
+         0.7500000000000019, 0.5769242128891308, 0.3726504814224123,
+         0.6780481295832186, 47.76160487498328),
+    ),
+}
+
+
+@pytest.mark.parametrize("graph", ["P3", 1, 2])
+def test_audit_pinned_max_deltas(graph):
+    g = p3() if graph == "P3" else random_connected_graph(9, 0.45, graph)
+    for kind, pinned in zip((QUAD, PENT), _PINNED_MAX_DELTAS[graph]):
+        clauses = audit_theorems(g, kind).clauses
+        assert len(clauses) == len(pinned)
+        for c, ref in zip(clauses, pinned):
+            assert abs(c.max_delta - ref) <= 1e-10, (c.id, c.max_delta, ref)
