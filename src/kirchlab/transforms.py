@@ -87,21 +87,17 @@ def path3(i: int) -> VertexClass:
     return VertexClass(VertexRole.PATH3, i)
 
 
-_ROLE_SLOT = {
-    VertexRole.ORIGINAL: -1,
-    VertexRole.PATH1: 0,
-    VertexRole.PATH2: 1,
-    VertexRole.PATH3: 2,
-}
+# path roles in flat-id order: role j holds ids n + jm to n + (j + 1)m - 1
+_PATH_ROLES = (VertexRole.PATH1, VertexRole.PATH2, VertexRole.PATH3)
 
 
 def flat_id(c: VertexClass, n: int, m: int, kind: TransformKind) -> int:
     """Map a VertexClass to its flat id in the transformed graph."""
-    slot = _ROLE_SLOT[c.role]
-    if slot < 0:
+    if c.role is VertexRole.ORIGINAL:
         if not 0 <= c.index < n:
             raise ValueError(f"original index {c.index} out of range for n={n}")
         return c.index
+    slot = _PATH_ROLES.index(c.role)
     if slot >= kind.path_vertices:
         raise ValueError(f"{c.role.value} is not a vertex class of {kind.value}")
     if not 0 <= c.index < m:
@@ -117,8 +113,15 @@ def classify(idx: int, n: int, m: int, kind: TransformKind) -> VertexClass:
     if idx < n:
         return VertexClass(VertexRole.ORIGINAL, idx)
     slot, index = divmod(idx - n, m)
-    role = (VertexRole.PATH1, VertexRole.PATH2, VertexRole.PATH3)[slot]
-    return VertexClass(role, index)
+    return VertexClass(_PATH_ROLES[slot], index)
+
+
+def class_slices(kind: TransformKind, n: int, m: int) -> list[tuple[VertexRole, slice]]:
+    """(role, slice of its flat ids) for each vertex class, in flat-id order."""
+    return [(VertexRole.ORIGINAL, slice(0, n))] + [
+        (role, slice(n + j * m, n + (j + 1) * m))
+        for j, role in enumerate(_PATH_ROLES[: kind.path_vertices])
+    ]
 
 
 def apply_transform(g: Graph, kind: TransformKind) -> Graph:

@@ -432,6 +432,16 @@ def test_invariant_under_vertex_relabelling(g, kind, rnd):
     assert_same_engine(build_structured_inverse(g, kind), build_structured_inverse(h, kind), order)
 
 
+@PROPERTY
+@given(connected_graphs(), st.sampled_from([QUAD, PENT]))
+def test_foster_theorem_on_the_resistance_matrix(g, kind):
+    # Foster: the resistances over the edges of the transform sum to N - 1
+    t = apply_transform(g, kind)
+    tail, head = np.array(t.edges).T
+    r = resistance_matrix(build_structured_inverse(g, kind))
+    assert r[tail, head].sum() == pytest.approx(t.n - 1, rel=1e-12, abs=0.0)
+
+
 # --------------------------------------------------------------------- errors
 
 

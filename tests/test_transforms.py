@@ -5,12 +5,14 @@ import random
 import numpy as np
 import pytest
 
+import kirchlab
 from kirchlab.graph import Graph, adjacency_matrix, incidence_split, is_connected, laplacian
 from kirchlab.transforms import (
     TransformKind,
     VertexClass,
     VertexRole,
     apply_transform,
+    class_slices,
     classify,
     flat_id,
     original,
@@ -183,3 +185,19 @@ def test_pentagonal_laplacian_block_form():
 def test_apply_transform_dispatch():
     assert apply_transform(k2(), QUAD) == quadrilateral(k2())
     assert apply_transform(k2(), PENT) == pentagonal(k2())
+
+
+@pytest.mark.parametrize("kind", [QUAD, PENT])
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (5, 7), (4, 1)])
+def test_class_slices_tile_the_flat_ids_by_role(kind, n, m):
+    slices = class_slices(kind, n, m)
+    roles = [VertexRole.ORIGINAL, VertexRole.PATH1, VertexRole.PATH2, VertexRole.PATH3]
+    assert [role for role, _ in slices] == roles[: 1 + kind.path_vertices]
+    ids = [i for _, sl in slices for i in range(sl.start, sl.stop)]
+    assert ids == list(range(kind.vertex_count(n, m)))
+    for role, sl in slices:
+        assert {classify(i, n, m, kind).role for i in range(sl.start, sl.stop)} == {role}
+
+
+def test_class_slices_stay_out_of_the_public_api():
+    assert "class_slices" not in kirchlab.__all__

@@ -132,6 +132,46 @@ def test_compare_kirchhoff_tolerance_scales_with_the_index():
         assert rep.as_dict()["deltas"]["kirchhoff_rel"] == rep.kirchhoff_rel_delta
 
 
+def test_compare_bounds_each_resistance_relative_to_its_size(monkeypatch):
+    # on W(P_140) the end-to-end resistance is 139 * 4/5; an error of 2e-8
+    # there is within the oracle's own accuracy, one of 1e-6 relative is not
+    path = Graph(140, tuple((i, i + 1) for i in range(139)))
+    real = verify.resistance_matrix
+    far = real(verify.build_structured_inverse(path, PENT))[0, 139]
+    assert far >= 100
+    for shift, passes in ((2e-8, True), (1e-6 * far, False)):
+        def moved(x, shift=shift):
+            r = real(x)
+            r[0, 139] += shift
+            r[139, 0] += shift
+            return r
+
+        monkeypatch.setattr(verify, "resistance_matrix", moved)
+        rep = compare(path, PENT)
+        assert rep.overall_max >= 0.5 * shift
+        assert rep.passed is passes
+
+
+def test_compare_and_audit_share_one_reference(monkeypatch):
+    # the oracle's two pinv calls on the transform are the only ones: the
+    # audit evaluates its clauses on the engine's L^# of the factor graph
+    orders = []
+    real = np.linalg.pinv
+
+    def counted(a, *args, **kwargs):
+        orders.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counted)
+    g = random_connected_graph(7, 0.5, 3)
+    for kind in (QUAD, PENT):
+        big_n = kind.vertex_count(g.n, g.m)
+        for run in (audit_theorems, compare):
+            orders.clear()
+            run(g, kind)
+            assert orders == [big_n, big_n], run.__name__
+
+
 def test_compare_as_dict_schema():
     d = compare(k2(), QUAD, seed=7).as_dict()
     assert d["graph"] == {"n": 2, "m": 1, "seed": 7}
@@ -235,6 +275,10 @@ def test_audit_notes():
     assert "conformable" in quad["3.1.v"].notes
     pent = {c.id: c for c in audit_theorems(k2(), PENT).clauses}
     assert "conformable" in pent["4.1.viii"].notes
+    # a domain that is exact up to rounding prints no rounding noise; one
+    # that misses prints its delta to 4 significant digits
+    quad = {c.id: c for c in audit_theorems(random_connected_graph(9, 0.45, 1), QUAD).clauses}
+    assert quad["3.1.iv"].notes.endswith(": V1xV1 delta < 1e-9, V2xV2 delta 2.777e-01")
 
 
 def test_audit_domains_recorded():
