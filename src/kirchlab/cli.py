@@ -111,42 +111,36 @@ def format_significant(value: float, digits: int = 12) -> str:
     return f"{float(sci):.{decimals}f}"
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
-
-
 def _write_matrix(r: np.ndarray, fmt: str, kind: str) -> None:
     """Write a float64 matrix as json, csv or plain text, one row per write.
 
     Each row is one ``orjson`` call, which prints ``repr``'s shortest
     round-trip digits but not its notation for non-zero |x| outside
     [1e-4, 1e16) (``1e16`` for ``1e+16``) or for nan and inf (``null``);
-    rows holding such values are joined from ``repr`` with the format's
-    separator.  The json text is byte-equal to
+    rows holding such values are joined from ``repr``.  Either way a row is
+    comma-separated text, framed per format.  The json text is byte-equal to
     ``json.dumps({"kind", "n", "matrix"}, separators=(",", ":"))`` for a
-    finite matrix.
+    finite matrix with at least one row.
     """
     import orjson
 
     dumps, option, write = orjson.dumps, orjson.OPT_SERIALIZE_NUMPY, sys.stdout.write
     a = np.abs(r)
     odd = (((a < 1e-4) & (a != 0)) | ~(a < 1e16)).any(axis=1).tolist()
-    if fmt == "json":
-        write(f'{{"kind":{json.dumps(kind)},"n":{r.shape[0]},"matrix":[')
-        for i, (row, o) in enumerate(zip(r, odd)):
-            text = ("[" + ",".join(map(repr, row.tolist())) + "]" if o
-                    else dumps(row, option=option).decode())
-            write("," + text if i else text)
-        write("]}\n")
-        return
-    sep = {"csv": ",", "plain": " "}[fmt]
-    for row, o in zip(r, odd):
-        if o:
-            text = sep.join(map(repr, row.tolist()))
-        else:
-            values = dumps(row, option=option)[1:-1]
-            text = (values if fmt == "csv" else values.replace(b",", b" ")).decode()
-        write(text + "\n")
+    head, between, end, sep = {
+        "json": (f'{{"kind":{json.dumps(kind)},"n":{r.shape[0]},"matrix":[[',
+                 "],[", "]]}\n", b","),
+        "csv": ("", "\n", "\n", b","),
+        "plain": ("", "\n", "\n", b" "),
+    }[fmt]
+    write(head)
+    for i, (row, o) in enumerate(zip(r, odd)):
+        text = (",".join(map(repr, row.tolist())).encode() if o
+                else dumps(row, option=option)[1:-1])
+        if sep != b",":
+            text = text.replace(b",", sep)
+        write((between if i else "") + text.decode())
+    write(end)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +218,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except GenerationBudgetError as exc:
         raise UsageError(f"{exc}; raise --p") from None
     ok = all(r.passed for r in reports)
-    _emit_json({"reports": [r.as_dict() for r in reports], "pass": ok})
+    payload = {"reports": [r.as_dict() for r in reports], "pass": ok}
+    print(json.dumps(payload, indent=2))
     return 0 if ok else 1
 
 
@@ -232,7 +227,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     kind = _resolve_kind(args)
     g = _read_graph(args.input)
     report = audit_theorems(g, kind)
-    _emit_json(report.as_dict())
+    print(json.dumps(report.as_dict(), indent=2))
     return 0
 
 

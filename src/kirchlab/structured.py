@@ -6,8 +6,9 @@ the Schur complement of the transform Laplacian's path block is L / s, and
     X = s P^T L^# P + blkdiag(0, kron(T_k^{-1}, I_m))
 
 with L^# the factor Laplacian's group inverse, T_k = tridiag(-1, 2, -1) of
-order k, and P the n x N barycentric weights: e_u for an original vertex u,
-((l - j) / l) e_u + (j / l) e_v for path vertex j of edge (u, v), u the tail.
+order k, and P = [I | a_1 B1 + b_1 B2 | ... | a_k B1 + b_k B2] the n x N
+barycentric weights, b_j = j / l, a_j = 1 - b_j and B1, B2 the tail and head
+halves of G's incidence matrix (``edge_weights``).
 Only L^# and the edge endpoints are stored: a resistance costs O(1), the
 Kirchhoff index O(n^2 + m), and the resistance matrix its own O(N^2).
 """
@@ -23,7 +24,7 @@ import numpy as np
 from .graph import DisconnectedGraphError, Graph, GraphError, is_connected, laplacian
 from .graph import _endpoints
 from .linalg import group_inverse_laplacian
-from .transforms import TransformKind, VertexClass, flat_id
+from .transforms import _PATH_ROLES, TransformKind, VertexClass, class_slices, flat_id
 
 
 @functools.cache
@@ -40,9 +41,9 @@ def path_chain_inverse(k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StructuredOneInverse:
-    """Implicit X: L^# of the factor graph, s (``top_left_scale``) and the
-    tail/head arrays of the factor edges, O(n^2 + m) in all.  X is indexed
-    by the flat id layout of :mod:`kirchlab.transforms`."""
+    """Implicit X: L^# of the factor graph and the tail/head arrays of the
+    factor edges, O(n^2 + m) in all; s is ``kind.resistance_scale``.  X is
+    indexed by the flat id layout of :mod:`kirchlab.transforms`."""
 
     kind: TransformKind
     n: int
@@ -50,7 +51,6 @@ class StructuredOneInverse:
     lg_sharp: np.ndarray
     tail: np.ndarray
     head: np.ndarray
-    top_left_scale: float
 
     @property
     def total_vertices(self) -> int:
@@ -64,20 +64,26 @@ class StructuredOneInverse:
         return x
 
 
+def edge_weights(x: StructuredOneInverse, a: float, b: float) -> np.ndarray:
+    """a B1 + b B2 as a new n x m array: a at each edge's tail, b at its head."""
+    w, edges = np.zeros((x.n, x.m)), np.arange(x.m)
+    w[x.tail, edges] = a
+    w[x.head, edges] = b
+    return w
+
+
 def _assemble(x: StructuredOneInverse) -> np.ndarray:
     """X = s P^T L^# P + blkdiag(0, kron(T^{-1}, I_m)) as a new N x N array,
     the only one built: T^{-1} is added at the block's k^2 m non-zeros."""
-    n, m, k = x.n, x.m, x.kind.path_vertices
-    weight = np.repeat(np.arange(1, k + 1) / (k + 1), m)
-    cols = np.arange(n, x.total_vertices)
-    p = np.eye(n, x.total_vertices)
-    p[np.tile(x.tail, k), cols] = 1.0 - weight
-    p[np.tile(x.head, k), cols] = weight
+    slots = [sl for _, sl in class_slices(x.kind, x.n, x.m)[1:]]
+    p = np.eye(x.n, x.total_vertices)
+    for sl, b in zip(slots, x.kind.path_weights):
+        p[:, sl] = edge_weights(x, 1.0 - b, b)
     big = p.T @ x.lg_sharp @ p
-    big *= x.top_left_scale
-    t_inv, edges = path_chain_inverse(k), np.arange(m)
-    for a, b in itertools.product(range(k), repeat=2):
-        big[n + a * m + edges, n + b * m + edges] += t_inv[a, b]
+    big *= x.kind.resistance_scale
+    t_inv, edges = path_chain_inverse(x.kind.path_vertices), np.arange(x.m)
+    for (a, sa), (b, sb) in itertools.product(enumerate(slots), repeat=2):
+        big[sa, sb][edges, edges] += t_inv[a, b]
     return big
 
 
@@ -92,26 +98,22 @@ def build_structured_inverse(g: Graph, kind: TransformKind) -> StructuredOneInve
     tail, head = _endpoints(g).T
     for arr in (lg_sharp, tail, head):
         arr.flags.writeable = False
-    return StructuredOneInverse(
-        kind, g.n, g.m, lg_sharp, tail, head, top_left_scale=kind.resistance_scale
-    )
+    return StructuredOneInverse(kind, g.n, g.m, lg_sharp, tail, head)
 
 
 def _column(x: StructuredOneInverse, c: VertexClass) -> tuple:
     """(tail, head, head weight, slot, edge) of a P column; -1, -1 for originals."""
-    fid = flat_id(c, x.n, x.m, x.kind)
-    if fid < x.n:
-        return fid, fid, 0.0, -1, -1
-    slot, edge = divmod(fid - x.n, x.m)
-    weight = (slot + 1) / x.kind.detour_length
-    return int(x.tail[edge]), int(x.head[edge]), weight, slot, edge
+    if flat_id(c, x.n, x.m, x.kind) < x.n:  # flat_id rejects a class outside X
+        return c.index, c.index, 0.0, -1, -1
+    slot, e = _PATH_ROLES.index(c.role), c.index
+    return int(x.tail[e]), int(x.head[e]), x.kind.path_weights[slot], slot, e
 
 
 def _entry(x: StructuredOneInverse, a: tuple, b: tuple) -> float:
     """X[a, b] for two columns from _column."""
     (ua, va, wa, sa, ea), (ub, vb, wb, sb, eb) = a, b
     ls = x.lg_sharp
-    value = x.top_left_scale * (
+    value = x.kind.resistance_scale * (
         (1.0 - wa) * ((1.0 - wb) * ls[ua, ub] + wb * ls[ua, vb])
         + wa * ((1.0 - wb) * ls[va, ub] + wb * ls[va, vb])
     )
@@ -157,12 +159,12 @@ def kirchhoff(x: StructuredOneInverse) -> float:
     1^T X 1 = s (k/2)^2 d^T L^# d + m 1^T T^{-1} 1.
     """
     k = x.kind.path_vertices
-    b = np.arange(1, k + 1) / (k + 1)
+    b = np.array(x.kind.path_weights)
     t_inv = path_chain_inverse(k)
-    ls = x.lg_sharp
+    ls, s = x.lg_sharp, x.kind.resistance_scale
     d = np.bincount(np.concatenate([x.tail, x.head]), minlength=x.n)
-    tr = x.top_left_scale * (
+    tr = s * (
         np.trace(ls) + k / 2.0 * (d @ np.diag(ls)) - ((1.0 - b) @ b) * (x.n - 1)
     ) + x.m * np.trace(t_inv)
-    ones = x.top_left_scale * (k / 2.0) ** 2 * (d @ ls @ d) + x.m * t_inv.sum()
+    ones = s * (k / 2.0) ** 2 * (d @ ls @ d) + x.m * t_inv.sum()
     return float(x.total_vertices * tr - ones)

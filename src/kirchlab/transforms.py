@@ -45,6 +45,11 @@ class TransformKind(enum.Enum):
         """
         return self.detour_length / (self.detour_length + 1)
 
+    @property
+    def path_weights(self) -> tuple[float, ...]:
+        """b_j = j / l, path vertex j's weight on its edge's head (j = 1..k)."""
+        return tuple(j / self.detour_length for j in range(1, self.detour_length))
+
     def vertex_count(self, n: int, m: int) -> int:
         return n + self.path_vertices * m
 

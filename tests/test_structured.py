@@ -3,16 +3,19 @@
 import dataclasses
 import random
 import tracemalloc
+from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from kirchlab.graph import DisconnectedGraphError, Graph, laplacian
+import kirchlab
+from kirchlab.graph import DisconnectedGraphError, Graph, incidence_split, laplacian
 from kirchlab.oracle import oracle_kirchhoff, oracle_resistance_matrix
 from kirchlab.structured import (
     build_structured_inverse,
+    edge_weights,
     kirchhoff,
     path_chain_inverse,
     resistance,
@@ -21,6 +24,7 @@ from kirchlab.structured import (
 from kirchlab.transforms import (
     TransformKind,
     apply_transform,
+    class_slices,
     classify,
     original,
     path1,
@@ -65,11 +69,33 @@ def random_connected_sized(rng, n, m):
 def test_top_left_block_k2():
     x = build_structured_inverse(k2(), QUAD)
     expected = [[3.0 / 16.0, -3.0 / 16.0], [-3.0 / 16.0, 3.0 / 16.0]]
-    assert np.allclose(x.top_left_scale * x.lg_sharp, expected, atol=1e-14)
+    assert np.allclose(x.kind.resistance_scale * x.lg_sharp, expected, atol=1e-14)
     assert np.allclose(x.full[:2, :2], expected, atol=1e-14)
 
     xp = build_structured_inverse(k2(), PENT)
     assert np.allclose(xp.full[:2, :2], [[0.2, -0.2], [-0.2, 0.2]], atol=1e-14)
+
+
+def test_engine_in_the_papers_notation():
+    # edge_weights(x, a, b) is a B1 + b B2 of the incidence split, and the
+    # top rows of X are s L^# [I | a_1 B1 + b_1 B2 | ... | a_k B1 + b_k B2]
+    assert QUAD.path_weights == (1 / 3, 2 / 3)
+    assert PENT.path_weights == (0.25, 0.5, 0.75)
+    assert "edge_weights" not in kirchlab.__all__
+    rng = random.Random(2020)
+    for _ in range(12):
+        g = random_connected(rng, rng.randint(2, 10))
+        split = incidence_split(g)
+        for kind in (QUAD, PENT):
+            x = build_structured_inverse(g, kind)
+            a, b = rng.random(), rng.random()
+            assert np.array_equal(edge_weights(x, a, b), a * split.b1 + b * split.b2)
+            top = x.full[: g.n]
+            slots = class_slices(kind, g.n, g.m)[1:]
+            assert len(slots) == len(kind.path_weights) == kind.path_vertices
+            for (_, sl), bj in zip(slots, kind.path_weights):
+                want = kind.resistance_scale * x.lg_sharp @ edge_weights(x, 1 - bj, bj)
+                assert np.abs(top[:, sl] - want).max() <= 1e-14
 
 
 def test_path1_diagonal_entry_k2():
@@ -301,38 +327,63 @@ def degree_kirchhoff_indices(g):
     return tuple(float((w * r).sum()) / 2.0 for w in weights)
 
 
-def kf_quadrilateral_closed_form(g):
-    kf, r_plus, r_star = degree_kirchhoff_indices(g)
-    n, m = g.n, g.m
+def kf_closed_form(kind, n, m, kf, r_plus, r_star):
+    """Kf(T) from Kf, R+ and R* of G (README); exact for exact inputs."""
+    if kind is QUAD:
+        return (
+            F(3, 4) * (kf + r_plus + r_star)
+            + F(8, 3) * m**2 + F(2, 3) * m * n - F(4, 3) * m - F(1, 3) * (n**2 - n)
+        )
     return (
-        0.75 * (kf + r_plus + r_star)
-        + 8 * m**2 / 3 + 2 * m * n / 3 - 4 * m / 3 - n**2 / 3 + n / 3
-    )
-
-
-def kf_pentagonal_closed_form(g):
-    kf, r_plus, r_star = degree_kirchhoff_indices(g)
-    n, m = g.n, g.m
-    return (
-        0.8 * kf + 1.2 * r_plus + 1.8 * r_star
-        + 7.5 * m**2 + m * n - 3.5 * m - n**2 / 2 + n / 2
+        F(4, 5) * kf + F(6, 5) * r_plus + F(9, 5) * r_star
+        + F(15, 2) * m**2 + m * n - F(7, 2) * m - F(1, 2) * (n**2 - n)
     )
 
 
 def test_kirchhoff_closed_forms_in_degree_kirchhoff_indices():
-    assert kf_quadrilateral_closed_form(k2()) == pytest.approx(5.0, rel=1e-12)
-    assert kf_pentagonal_closed_form(k2()) == pytest.approx(10.0, rel=1e-12)
+    assert kf_closed_form(QUAD, 2, 1, 1, 2, 1) == 5
+    assert kf_closed_form(PENT, 2, 1, 1, 2, 1) == 10
     rng = random.Random(2304)
     for _ in range(24):
         g = random_connected(rng, rng.randint(2, 12))
-        for kind, closed_form in (
-            (QUAD, kf_quadrilateral_closed_form),
-            (PENT, kf_pentagonal_closed_form),
-        ):
+        for kind in (QUAD, PENT):
             ref = oracle_kirchhoff(apply_transform(g, kind))
-            assert abs(closed_form(g) - ref) <= 1e-12 * ref
+            closed_form = kf_closed_form(kind, g.n, g.m, *degree_kirchhoff_indices(g))
+            assert abs(closed_form - ref) <= 1e-12 * ref
             got = kirchhoff(build_structured_inverse(g, kind))
             assert abs(got - ref) <= 1e-12 * ref
+
+
+def path_degree_kirchhoff_indices(n):
+    """Exact Kf, R+ and R* of the path P_n, whose r_ij is |i - j|, from int64
+    sums: R+ = sum_i d_i sum_j |i - j| and 2 R* = sum_i d_i sum_j |i - j| d_j."""
+    ids = np.arange(n, dtype=np.int64)
+    d = np.full(n, 2, dtype=np.int64)
+    d[[0, -1]] = 1
+    r_plus = r_star2 = 0
+    for i in range(n):
+        row = np.abs(ids - i)
+        r_plus += int(d[i] * row.sum())
+        r_star2 += int(d[i] * (row @ d))
+    return F(n**3 - n, 6), F(r_plus), F(r_star2, 2)
+
+
+@pytest.mark.parametrize("n", [100, 1000, 2000])
+def test_kirchhoff_matches_exact_paths_and_cycles(n):
+    # Kf(P_n) = (n^3 - n)/6; C_n is 2-regular with Kf = (n^3 - n)/12, so
+    # R+ = R* = 4 Kf.  The engine's relative error grows about like n^2
+    # (README), 7.7e-11 on P_2000
+    path = tuple((i, i + 1) for i in range(n - 1))
+    cycle_kf = F(n**3 - n, 12)
+    families = (
+        (Graph(n, path), path_degree_kirchhoff_indices(n)),
+        (Graph(n, path + ((0, n - 1),)), (cycle_kf, 4 * cycle_kf, 4 * cycle_kf)),
+    )
+    for g, invariants in families:
+        for kind in (QUAD, PENT):
+            exact = kf_closed_form(kind, g.n, g.m, *invariants)
+            got = kirchhoff(build_structured_inverse(g, kind))
+            assert abs(F(got) - exact) <= F(1, 10**9) * exact
 
 
 def test_kirchhoff_allocates_factor_sized_memory_only():

@@ -123,13 +123,24 @@ def test_compare_forced_failure():
 
 def test_compare_kirchhoff_tolerance_scales_with_the_index():
     # W(P_100): Kf is about 2.2e6 and the oracle's own error is about 2e-6,
-    # above the absolute floor kf_tol but near 1e-12 relative
+    # above tol = 1e-8 but near 1e-12 relative
     path = Graph(100, tuple((i, i + 1) for i in range(99)))
-    for kf_tol in (1e-6, 0.0):
-        rep = compare(path, PENT, kf_tol=kf_tol)
-        assert rep.passed
-        assert rep.kirchhoff_rel_delta <= 1e-10
-        assert rep.as_dict()["deltas"]["kirchhoff_rel"] == rep.kirchhoff_rel_delta
+    rep = compare(path, PENT)
+    assert rep.passed
+    assert rep.kirchhoff_delta > 1e-8
+    assert rep.kirchhoff_rel_delta <= 1e-10
+    assert rep.as_dict()["deltas"]["kirchhoff_rel"] == rep.kirchhoff_rel_delta
+
+
+def test_compare_bounds_the_kirchhoff_index_like_each_resistance(monkeypatch):
+    # |dKf| <= tol (1 + Kf) with no separate absolute floor: Kf(Q(K2)) = 5,
+    # so at tol = 1e-8 the bound is 6e-8
+    real = verify.kirchhoff
+    for shift, passes in ((5e-8, True), (1e-7, False)):
+        monkeypatch.setattr(verify, "kirchhoff", lambda x, shift=shift: real(x) + shift)
+        rep = compare(k2(), QUAD)
+        assert rep.overall_max <= 1e-12
+        assert rep.passed is passes
 
 
 def test_compare_bounds_each_resistance_relative_to_its_size(monkeypatch):
