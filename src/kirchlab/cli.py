@@ -2,9 +2,7 @@
 
 Commands: transform, resist, kirchhoff, verify, audit.  Exit codes: 0 on
 success, 1 when a verification or self-check misses its tolerance, 2 on bad
-input or usage.  Every option can also be set through an environment
-variable named KLAB_<OPTION> (KLAB_KIND, KLAB_FORMAT, KLAB_TOL, KLAB_SEED,
-KLAB_COUNT, KLAB_N_MAX, KLAB_P); explicit flags win.
+input or usage.
 
 ``resist`` writes the N x N matrix of the transform one row per write,
 each row formatted by one ``orjson`` call (shortest round-trip digits,
@@ -19,69 +17,23 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .graph import (DisconnectedGraphError, GraphError, is_connected, laplacian,
-                    parse_edge_list, render_edge_list)
-from .linalg import group_inverse_laplacian
-from .structured import build_structured_inverse, kirchhoff, resistance_matrix
+from .graph import DisconnectedGraphError, GraphError, parse_edge_list, render_edge_list
+from .structured import (build_structured_inverse, factor_inverse, kirchhoff,
+                         resistance_matrix)
 from .transforms import TransformKind, apply_transform
 from .verify import GenerationBudgetError, audit_theorems, run_corpus
 
-ENV_PREFIX = "KLAB_"
-
-_DEFAULTS = {
-    "kind": "quad",
-    "format": "json",
-    "tol": 1e-8,
-    "seed": 0,
-    "count": 100,
-    "n_max": 10,
-    "p": 0.5,
-}
+# significant digits of a printed Kirchhoff index
+DIGITS = 12
 
 
 class UsageError(Exception):
-    """Bad flag or environment value; maps to exit code 2."""
-
-
-def _resolve(args: argparse.Namespace, name: str, cast: Callable):
-    """Flag if given, else KLAB_ environment variable, else built-in default."""
-    value = getattr(args, name)
-    if value is not None:
-        return value
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    if raw is None:
-        return _DEFAULTS[name]
-    try:
-        return cast(raw)
-    except (ValueError, KeyError):
-        raise UsageError(
-            f"invalid value {raw!r} for {ENV_PREFIX}{name.upper()}"
-        ) from None
-
-
-def _resolve_kind(args: argparse.Namespace, allow_none: bool = False):
-    value = _resolve(args, "kind", str)
-    if value == "none":
-        if allow_none:
-            return None
-        raise UsageError("kind 'none' is not valid for this command")
-    try:
-        return TransformKind(value)
-    except ValueError:
-        raise UsageError(f"invalid kind {value!r}") from None
-
-
-def _resolve_format(args: argparse.Namespace) -> str:
-    fmt = _resolve(args, "format", str)
-    if fmt not in ("json", "csv", "plain"):
-        raise UsageError(f"invalid format {fmt!r}")
-    return fmt
+    """Bad flag value or unreadable input; maps to exit code 2."""
 
 
 def _positive(name: str, value: float) -> float:
@@ -100,14 +52,14 @@ def _read_graph(path: str):
         raise UsageError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
 
 
-def format_significant(value: float, digits: int = 12) -> str:
-    """Fixed-point with exactly ``digits`` significant digits (desk scale)."""
+def format_significant(value: float) -> str:
+    """Fixed-point with exactly ``DIGITS`` significant digits (desk scale)."""
     if value == 0 or not math.isfinite(value):
-        return f"{0.0:.{digits - 1}f}" if value == 0 else repr(value)
+        return f"{0.0:.{DIGITS - 1}f}" if value == 0 else repr(value)
     # round to the significant digits first so carries shift the magnitude
-    sci = f"{value:.{digits - 1}e}"
+    sci = f"{value:.{DIGITS - 1}e}"
     exponent = int(sci.split("e")[1])
-    decimals = max(digits - 1 - exponent, 0)
+    decimals = max(DIGITS - 1 - exponent, 0)
     return f"{float(sci):.{decimals}f}"
 
 
@@ -148,9 +100,8 @@ def _write_matrix(r: np.ndarray, fmt: str, kind: str) -> None:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    kind = _resolve_kind(args)
     g = _read_graph(args.input)
-    text = render_edge_list(apply_transform(g, kind))
+    text = render_edge_list(apply_transform(g, TransformKind(args.kind)))
     if args.output is None:
         sys.stdout.write(text)
     else:
@@ -160,9 +111,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def cmd_resist(args: argparse.Namespace) -> int:
-    kind = _resolve_kind(args)
-    fmt = _resolve_format(args)
-    tol = _positive("tol", _resolve(args, "tol", float))
+    kind = TransformKind(args.kind)
+    tol = _positive("tol", args.tol)
     g = _read_graph(args.input)
     x = build_structured_inverse(g, kind)
     r = resistance_matrix(x)
@@ -181,40 +131,30 @@ def cmd_resist(args: argparse.Namespace) -> int:
             )
             exit_code = 1
 
-    _write_matrix(r, fmt, kind.value)
+    _write_matrix(r, args.format, kind.value)
     return exit_code
 
 
 def cmd_kirchhoff(args: argparse.Namespace) -> int:
-    kind = _resolve_kind(args, allow_none=True)
     g = _read_graph(args.input)
-    if kind is None:
-        if g.n == 0:
-            raise GraphError("empty graph")
-        # checked here: L# of a disconnected G raises SingularMatrixError, not an exit 2
-        if not is_connected(g):
-            raise DisconnectedGraphError("resistance distance requires a connected graph")
-        value = g.n * float(np.trace(group_inverse_laplacian(laplacian(g))))
+    if args.kind == "none":
+        value = g.n * float(np.trace(factor_inverse(g)))
     else:
-        value = kirchhoff(build_structured_inverse(g, kind))
+        value = kirchhoff(build_structured_inverse(g, TransformKind(args.kind)))
     print(format_significant(value))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    count = int(_resolve(args, "count", int))
-    n_max = int(_resolve(args, "n_max", int))
-    p = float(_resolve(args, "p", float))
-    seed = int(_resolve(args, "seed", int))
-    tol = _positive("tol", _resolve(args, "tol", float))
-    if count < 1:
-        raise UsageError(f"count must be >= 1, got {count}")
-    if n_max < 2:
-        raise UsageError(f"n_max must be >= 2, got {n_max}")
-    if not 0.0 < p <= 1.0:
-        raise UsageError(f"p must be in (0, 1], got {p}")
+    tol = _positive("tol", args.tol)
+    if args.count < 1:
+        raise UsageError(f"count must be >= 1, got {args.count}")
+    if args.n_max < 2:
+        raise UsageError(f"n_max must be >= 2, got {args.n_max}")
+    if not 0.0 < args.p <= 1.0:
+        raise UsageError(f"p must be in (0, 1], got {args.p}")
     try:
-        reports = run_corpus(count, n_max, p, seed, tol=tol)
+        reports = run_corpus(args.count, args.n_max, args.p, args.seed, tol=tol)
     except GenerationBudgetError as exc:
         raise UsageError(f"{exc}; raise --p") from None
     ok = all(r.passed for r in reports)
@@ -224,9 +164,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    kind = _resolve_kind(args)
     g = _read_graph(args.input)
-    report = audit_theorems(g, kind)
+    report = audit_theorems(g, TransformKind(args.kind))
     print(json.dumps(report.as_dict(), indent=2))
     return 0
 
@@ -250,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--kind",
             choices=["quad", "pent", *extra],
-            default=None,
-            help="transform kind (default quad, env KLAB_KIND)",
+            default="quad",
+            help="transform kind (default quad)",
         )
 
     p = sub.add_parser("transform", help="write the transformed graph's edge list")
@@ -263,26 +202,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resist", help="all-pairs resistance matrix of the transform")
     p.add_argument("input", help="edge-list file")
     add_kind(p)
-    p.add_argument("--format", choices=["json", "csv", "plain"], default=None)
+    p.add_argument("--format", choices=["json", "csv", "plain"], default="json")
     p.add_argument(
         "--self-check",
         action="store_true",
         help="also run the brute-force oracle; exit 1 beyond --tol",
     )
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_resist)
 
-    p = sub.add_parser("kirchhoff", help="Kirchhoff index (12 significant digits)")
+    p = sub.add_parser("kirchhoff", help=f"Kirchhoff index ({DIGITS} significant digits)")
     p.add_argument("input", help="edge-list file")
     add_kind(p, extra=["none"])
     p.set_defaults(func=cmd_kirchhoff)
 
     p = sub.add_parser("verify", help="random corpus, structured engine vs oracle")
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--n-max", dest="n_max", type=int, default=10)
+    p.add_argument("--p", type=float, default=0.5)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("audit", help="audit the published clauses against the oracle")

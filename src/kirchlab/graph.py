@@ -300,18 +300,25 @@ def laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
+def edge_weights(n: int, tail: np.ndarray, head: np.ndarray, a, b) -> np.ndarray:
+    """a B1 + b B2 as a new n x m array, m = len(tail): a at each edge's tail,
+    b at its head, of dtype ``np.result_type(a, b)``."""
+    edges = np.arange(len(tail))
+    w = np.zeros((n, len(edges)), dtype=np.result_type(a, b))
+    w[tail, edges] = a
+    w[head, edges] = b
+    return w
+
+
 def incidence_split(g: Graph) -> IncidenceSplit:
     """Split the unsigned incidence matrix by the tail = smaller-id rule.
 
     Any fixed tail/head choice satisfies the split identities; downstream
     resistance results do not depend on it.
     """
-    b1 = np.zeros((g.n, g.m), dtype=np.int64)
-    b2 = np.zeros((g.n, g.m), dtype=np.int64)
     tail, head = _endpoints(g).T
-    cols = np.arange(g.m)
-    b1[tail, cols] = 1
-    b2[head, cols] = 1
+    b1 = edge_weights(g.n, tail, head, 1, 0)
+    b2 = edge_weights(g.n, tail, head, 0, 1)
     return IncidenceSplit(b1=_frozen(b1), b2=_frozen(b2))
 
 

@@ -8,7 +8,7 @@ the Schur complement of the transform Laplacian's path block is L / s, and
 with L^# the factor Laplacian's group inverse, T_k = tridiag(-1, 2, -1) of
 order k, and P = [I | a_1 B1 + b_1 B2 | ... | a_k B1 + b_k B2] the n x N
 barycentric weights, b_j = j / l, a_j = 1 - b_j and B1, B2 the tail and head
-halves of G's incidence matrix (``edge_weights``).
+halves of G's incidence matrix (``graph.edge_weights``).
 Only L^# and the edge endpoints are stored: a resistance costs O(1), the
 Kirchhoff index O(n^2 + m), and the resistance matrix its own O(N^2).
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DisconnectedGraphError, Graph, GraphError, is_connected, laplacian
-from .graph import _endpoints
+from .graph import _endpoints, edge_weights
 from .linalg import group_inverse_laplacian
 from .transforms import _PATH_ROLES, TransformKind, VertexClass, class_slices, flat_id
 
@@ -64,21 +64,13 @@ class StructuredOneInverse:
         return x
 
 
-def edge_weights(x: StructuredOneInverse, a: float, b: float) -> np.ndarray:
-    """a B1 + b B2 as a new n x m array: a at each edge's tail, b at its head."""
-    w, edges = np.zeros((x.n, x.m)), np.arange(x.m)
-    w[x.tail, edges] = a
-    w[x.head, edges] = b
-    return w
-
-
 def _assemble(x: StructuredOneInverse) -> np.ndarray:
     """X = s P^T L^# P + blkdiag(0, kron(T^{-1}, I_m)) as a new N x N array,
     the only one built: T^{-1} is added at the block's k^2 m non-zeros."""
     slots = [sl for _, sl in class_slices(x.kind, x.n, x.m)[1:]]
     p = np.eye(x.n, x.total_vertices)
     for sl, b in zip(slots, x.kind.path_weights):
-        p[:, sl] = edge_weights(x, 1.0 - b, b)
+        p[:, sl] = edge_weights(x.n, x.tail, x.head, 1.0 - b, b)
     big = p.T @ x.lg_sharp @ p
     big *= x.kind.resistance_scale
     t_inv, edges = path_chain_inverse(x.kind.path_vertices), np.arange(x.m)
@@ -87,14 +79,22 @@ def _assemble(x: StructuredOneInverse) -> np.ndarray:
     return big
 
 
+def factor_inverse(g: Graph) -> np.ndarray:
+    """L^# of the factor graph: GraphError if it is empty, DisconnectedGraphError
+    if it is not connected."""
+    if g.n == 0:
+        raise GraphError("empty graph")
+    # checked here: L# of a disconnected G raises SingularMatrixError, not an input error
+    if not is_connected(g):
+        raise DisconnectedGraphError("resistance distance requires a connected graph")
+    return group_inverse_laplacian(laplacian(g))
+
+
 def build_structured_inverse(g: Graph, kind: TransformKind) -> StructuredOneInverse:
     """Implicit {1}-inverse of ``kind`` of a connected factor graph with edges."""
-    if not is_connected(g):
-        raise DisconnectedGraphError("factor graph must be connected")
+    lg_sharp = factor_inverse(g)
     if g.m == 0:
         raise GraphError("factor graph must have at least one edge")
-
-    lg_sharp = group_inverse_laplacian(laplacian(g))
     tail, head = _endpoints(g).T
     for arr in (lg_sharp, tail, head):
         arr.flags.writeable = False

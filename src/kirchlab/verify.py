@@ -31,10 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, is_connected
+from .graph import Graph, edge_weights, is_connected
 from .oracle import oracle_kirchhoff, oracle_resistance_matrix
 from .structured import build_structured_inverse, kirchhoff, resistance_matrix
-from .structured import edge_weights
 from .transforms import TransformKind, apply_transform, class_slices
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -241,7 +240,7 @@ class AuditReport:
 #   "M"     M                            "NtrM"  N tr M        "1M1"  1^T M 1
 #   "m"     m                            "Nm"    N m
 # and M = W_p^T L^# W_q.  W_p = x b1 + y b2 for the (x, y) named p below,
-# built by the engine's ``edge_weights``, which also builds its P;
+# built by ``graph.edge_weights``, which also builds the engine's P;
 # "V" is the identity, so (V, V) is L^# and (V, q) is L^# W_q.  A domain
 # "AxB" compares against the oracle's rows in class A and columns in class
 # B, leaving out the diagonal when A = B; "scalar" compares against Kf.  A
@@ -328,7 +327,7 @@ def audit_theorems(g: Graph, kind: TransformKind) -> AuditReport:
 
     @functools.cache
     def weight(name: str) -> np.ndarray:
-        return edge_weights(inv, *_WEIGHTS[name])
+        return edge_weights(inv.n, inv.tail, inv.head, *_WEIGHTS[name])
 
     @functools.cache
     def block(p: str, q: str) -> np.ndarray:

@@ -46,27 +46,6 @@ def test_transform_pent_to_file(tmp_path, capsys):
     assert out.read_text() == "5 5\n0 1\n0 2\n2 3\n3 4\n1 4\n"
 
 
-def test_transform_env_kind(tmp_path, capsys, monkeypatch):
-    path = write_graph(tmp_path, K2_TEXT)
-    monkeypatch.setenv("KLAB_KIND", "pent")
-    assert main(["transform", path]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "5 5"
-
-
-def test_transform_flag_beats_env(tmp_path, capsys, monkeypatch):
-    path = write_graph(tmp_path, K2_TEXT)
-    monkeypatch.setenv("KLAB_KIND", "pent")
-    assert main(["transform", "--kind", "quad", path]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "4 4"
-
-
-def test_transform_rejects_kind_none_from_env(tmp_path, capsys, monkeypatch):
-    path = write_graph(tmp_path, K2_TEXT)
-    monkeypatch.setenv("KLAB_KIND", "none")
-    assert main(["transform", path]) == 2
-    assert "kind 'none'" in capsys.readouterr().err
-
-
 def test_transform_rejects_kind_none_flag(tmp_path, capsys):
     # argparse enforces the choice list itself
     path = write_graph(tmp_path, K2_TEXT)
@@ -246,24 +225,15 @@ def test_resist_self_check_fails_at_tiny_tol(tmp_path, capsys):
     assert json.loads(captured.out)["n"] == 4
 
 
-def test_resist_invalid_env_tol(tmp_path, capsys, monkeypatch):
-    path = write_graph(tmp_path, K2_TEXT)
-    monkeypatch.setenv("KLAB_TOL", "not-a-number")
-    assert main(["resist", "--self-check", path]) == 2
-    assert "KLAB_TOL" in capsys.readouterr().err
-
-
 def test_resist_rejects_negative_tol(tmp_path, capsys):
     path = write_graph(tmp_path, K2_TEXT)
     assert main(["resist", "--tol", "-1", path]) == 2
     assert "positive" in capsys.readouterr().err
 
 
-def test_consecutive_calls_share_no_state(tmp_path, capsys, monkeypatch):
+def test_consecutive_calls_share_no_state(tmp_path, capsys):
     # the parser is built once per process; no flag of one call reaches the next
     path = write_graph(tmp_path, K2_TEXT)
-    monkeypatch.delenv("KLAB_FORMAT", raising=False)
-    monkeypatch.delenv("KLAB_KIND", raising=False)
     assert main(["resist", "--kind", "pent", "--format", "csv", path]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 5
     assert main(["resist", path]) == 0
@@ -312,13 +282,29 @@ def test_kirchhoff_of_the_factor_graph_digits(tmp_path, capsys, graph, digits):
     assert capsys.readouterr().out == digits + "\n"
 
 
-@pytest.mark.parametrize("text, message", [
-    ("", "error: empty graph\n"),
-    ("4 2\n0 1\n2 3\n", "error: resistance distance requires a connected graph\n"),
+NO_EDGE = "error: factor graph must have at least one edge\n"
+
+
+# the --kind none cases are named "text-err", the others "kind-text-err"
+@pytest.mark.parametrize("kind, text, code, out, err", [
+    pytest.param(kind, text, 2, "", err,
+                 id=f"{text}-{err}" if kind == "none" else f"{kind}-{text}-{err}")
+    for text, err in [
+        ("", "error: empty graph\n"),
+        ("4 2\n0 1\n2 3\n", "error: resistance distance requires a connected graph\n"),
+    ]
+    for kind in ("none", "quad", "pent")
+] + [
+    pytest.param("none", "1 0\n", 0, "0.00000000000\n", "", id="none-1 0\n-"),
+    pytest.param("quad", "1 0\n", 2, "", NO_EDGE, id=f"quad-1 0\n-{NO_EDGE}"),
+    pytest.param("pent", "1 0\n", 2, "", NO_EDGE, id=f"pent-1 0\n-{NO_EDGE}"),
 ])
-def test_kirchhoff_of_the_factor_graph_bad_input(tmp_path, capsys, text, message):
-    assert main(["kirchhoff", "--kind", "none", write_graph(tmp_path, text)]) == 2
-    assert capsys.readouterr().err == message
+def test_kirchhoff_of_the_factor_graph_bad_input(tmp_path, capsys, kind, text, code,
+                                                 out, err):
+    # every kind words an empty or a disconnected factor graph the same way;
+    # an edgeless one has a Kirchhoff index but no transform
+    assert main(["kirchhoff", "--kind", kind, write_graph(tmp_path, text)]) == code
+    assert capsys.readouterr() == (out, err)
 
 
 def test_format_significant():
@@ -342,11 +328,25 @@ def test_verify_small_corpus(tmp_path, capsys):
     assert kinds == ["quad", "pent"] * 3
 
 
-def test_verify_env_count(capsys, monkeypatch):
-    monkeypatch.setenv("KLAB_COUNT", "2")
-    monkeypatch.setenv("KLAB_N_MAX", "5")
-    assert main(["verify"]) == 0
-    assert len(json.loads(capsys.readouterr().out)["reports"]) == 4
+def test_options_are_not_read_from_the_environment(tmp_path, capsys, monkeypatch):
+    # values the options once took from the environment, each one acted on or
+    # rejected if it were read
+    former = {"KLAB_KIND": "pent", "KLAB_FORMAT": "xml", "KLAB_TOL": "not-a-number",
+              "KLAB_COUNT": "0", "KLAB_N_MAX": "1", "KLAB_P": "2", "KLAB_SEED": "x"}
+    path = write_graph(tmp_path, K2_TEXT)
+    commands = [["transform", path], ["resist", path], ["kirchhoff", path],
+                ["verify", "--count", "1", "--n-max", "4"]]
+
+    def run_all():
+        return [(main(argv), capsys.readouterr()) for argv in commands]
+
+    for name in former:
+        monkeypatch.delenv(name, raising=False)
+    clean = run_all()
+    assert [code for code, _ in clean] == [0, 0, 0, 0]
+    for name, value in former.items():
+        monkeypatch.setenv(name, value)
+    assert run_all() == clean
 
 
 def test_verify_rejects_bad_count(capsys):

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 
 import kirchlab
+from kirchlab import graph
 from kirchlab.graph import DisconnectedGraphError, Graph, incidence_split, laplacian
 from kirchlab.oracle import oracle_kirchhoff, oracle_resistance_matrix
 from kirchlab.structured import (
     build_structured_inverse,
-    edge_weights,
     kirchhoff,
     path_chain_inverse,
     resistance,
@@ -77,8 +77,8 @@ def test_top_left_block_k2():
 
 
 def test_engine_in_the_papers_notation():
-    # edge_weights(x, a, b) is a B1 + b B2 of the incidence split, and the
-    # top rows of X are s L^# [I | a_1 B1 + b_1 B2 | ... | a_k B1 + b_k B2]
+    # edge_weights(n, tail, head, a, b) is a B1 + b B2 of the incidence split,
+    # and the top rows of X are s L^# [I | a_1 B1 + b_1 B2 | ... | a_k B1 + b_k B2]
     assert QUAD.path_weights == (1 / 3, 2 / 3)
     assert PENT.path_weights == (0.25, 0.5, 0.75)
     assert "edge_weights" not in kirchlab.__all__
@@ -86,15 +86,19 @@ def test_engine_in_the_papers_notation():
     for _ in range(12):
         g = random_connected(rng, rng.randint(2, 10))
         split = incidence_split(g)
+        assert split.b1.dtype == split.b2.dtype == np.int64
         for kind in (QUAD, PENT):
             x = build_structured_inverse(g, kind)
+            tail, head = x.tail, x.head
             a, b = rng.random(), rng.random()
-            assert np.array_equal(edge_weights(x, a, b), a * split.b1 + b * split.b2)
+            w = graph.edge_weights(g.n, tail, head, a, b)
+            assert np.array_equal(w, a * split.b1 + b * split.b2)
             top = x.full[: g.n]
             slots = class_slices(kind, g.n, g.m)[1:]
             assert len(slots) == len(kind.path_weights) == kind.path_vertices
             for (_, sl), bj in zip(slots, kind.path_weights):
-                want = kind.resistance_scale * x.lg_sharp @ edge_weights(x, 1 - bj, bj)
+                p_j = graph.edge_weights(g.n, tail, head, 1 - bj, bj)
+                want = kind.resistance_scale * x.lg_sharp @ p_j
                 assert np.abs(top[:, sl] - want).max() <= 1e-14
 
 
