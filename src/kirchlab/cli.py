@@ -30,6 +30,8 @@ from .verify import GenerationBudgetError, audit_theorems, run_corpus
 
 # significant digits of a printed Kirchhoff index
 DIGITS = 12
+# rows per block of _write_matrix's odd-row check
+_ROWS = 64
 
 
 class UsageError(Exception):
@@ -69,16 +71,15 @@ def _write_matrix(r: np.ndarray, fmt: str, kind: str) -> None:
     Each row is one ``orjson`` call, which prints ``repr``'s shortest
     round-trip digits but not its notation for non-zero |x| outside
     [1e-4, 1e16) (``1e16`` for ``1e+16``) or for nan and inf (``null``);
-    rows holding such values are joined from ``repr``.  Either way a row is
-    comma-separated text, framed per format.  The json text is byte-equal to
-    ``json.dumps({"kind", "n", "matrix"}, separators=(",", ":"))`` for a
-    finite matrix with at least one row.
+    rows holding such values, found ``_ROWS`` rows at a time, are joined
+    from ``repr``.  Either way a row is comma-separated text, framed per
+    format.  The json text is byte-equal to ``json.dumps({"kind", "n",
+    "matrix"}, separators=(",", ":"))`` for a finite matrix with at least one
+    row.
     """
     import orjson
 
     dumps, option, write = orjson.dumps, orjson.OPT_SERIALIZE_NUMPY, sys.stdout.write
-    a = np.abs(r)
-    odd = (((a < 1e-4) & (a != 0)) | ~(a < 1e16)).any(axis=1).tolist()
     head, between, end, sep = {
         "json": (f'{{"kind":{json.dumps(kind)},"n":{r.shape[0]},"matrix":[[',
                  "],[", "]]}\n", b","),
@@ -86,12 +87,16 @@ def _write_matrix(r: np.ndarray, fmt: str, kind: str) -> None:
         "plain": ("", "\n", "\n", b" "),
     }[fmt]
     write(head)
-    for i, (row, o) in enumerate(zip(r, odd)):
-        text = (",".join(map(repr, row.tolist())).encode() if o
-                else dumps(row, option=option)[1:-1])
-        if sep != b",":
-            text = text.replace(b",", sep)
-        write((between if i else "") + text.decode())
+    for lo in range(0, r.shape[0], _ROWS):
+        block = r[lo:lo + _ROWS]
+        a = np.abs(block)
+        odd = (((a < 1e-4) & (a != 0)) | ~(a < 1e16)).any(axis=1).tolist()
+        for i, (row, o) in enumerate(zip(block, odd), lo):
+            text = (",".join(map(repr, row.tolist())).encode() if o
+                    else dumps(row, option=option)[1:-1])
+            if sep != b",":
+                text = text.replace(b",", sep)
+            write((between if i else "") + text.decode())
     write(end)
 
 
@@ -104,9 +109,13 @@ def cmd_transform(args: argparse.Namespace) -> int:
     text = render_edge_list(apply_transform(g, TransformKind(args.kind)))
     if args.output is None:
         sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return 0
+    try:
+        fh = open(args.output, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.output}: {exc}") from None
+    with fh:
+        fh.write(text)
     return 0
 
 

@@ -5,26 +5,28 @@ the Schur complement of the transform Laplacian's path block is L / s, and
 
     X = s P^T L^# P + blkdiag(0, kron(T_k^{-1}, I_m))
 
-with L^# the factor Laplacian's group inverse, T_k = tridiag(-1, 2, -1) of
-order k, and P = [I | a_1 B1 + b_1 B2 | ... | a_k B1 + b_k B2] the n x N
-barycentric weights, b_j = j / l, a_j = 1 - b_j and B1, B2 the tail and head
-halves of G's incidence matrix (``graph.edge_weights``).
+with L^# the factor Laplacian's group inverse and T_k = tridiag(-1, 2, -1)
+of order k.  Column i of the n x N matrix P is e_u for an original vertex u
+and (1 - b_j) e_tail + b_j e_head, b_j = j / l, for path vertex j of an
+edge; ``_columns`` is the one table of them, for X and for pair queries.
 Only L^# and the edge endpoints are stored: a resistance costs O(1), the
-Kirchhoff index O(n^2 + m), and the resistance matrix its own O(N^2).
+Kirchhoff index O(n^2 + m), and the resistance matrix one N x N array.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import DisconnectedGraphError, Graph, GraphError, is_connected, laplacian
-from .graph import _endpoints, edge_weights
+from .graph import _endpoints
 from .linalg import group_inverse_laplacian
-from .transforms import _PATH_ROLES, TransformKind, VertexClass, class_slices, flat_id
+from .transforms import TransformKind, VertexClass, class_slices, flat_id, slot_edge
+
+# rows per panel of resistance_matrix: its temporaries are 2 x 8 * _ROWS * N bytes
+_ROWS = 64
 
 
 @functools.cache
@@ -64,18 +66,26 @@ class StructuredOneInverse:
         return x
 
 
+def _columns(x: StructuredOneInverse, ids: np.ndarray) -> tuple:
+    """P's columns (1 - b_j) e_tail + b_j e_head at an int array of flat ids, as
+    arrays (tail, head, b_j, slot, edge); (u, u, 0, -1, -1) for an original u."""
+    slot, edge = slot_edge(ids, x.n, x.m, x.kind)
+    tail, head = (np.where(slot < 0, ids, end[edge]) for end in (x.tail, x.head))
+    return tail, head, np.array((*x.kind.path_weights, 0.0))[slot], slot, edge
+
+
 def _assemble(x: StructuredOneInverse) -> np.ndarray:
-    """X = s P^T L^# P + blkdiag(0, kron(T^{-1}, I_m)) as a new N x N array,
-    the only one built: T^{-1} is added at the block's k^2 m non-zeros."""
-    slots = [sl for _, sl in class_slices(x.kind, x.n, x.m)[1:]]
-    p = np.eye(x.n, x.total_vertices)
-    for sl, b in zip(slots, x.kind.path_weights):
-        p[:, sl] = edge_weights(x.n, x.tail, x.head, 1.0 - b, b)
+    """X = s P^T L^# P + blkdiag(0, kron(T^{-1}, I_m)) as a new N x N array, the
+    only one built: T^{-1}[a, b] is added at path ids a, b of each edge."""
+    ids = np.arange(x.total_vertices)
+    tail, head, b, _, _ = _columns(x, ids)
+    p = np.zeros((x.n, ids.size))
+    p[tail, ids] = 1.0 - b
+    p[head, ids] += b
     big = p.T @ x.lg_sharp @ p
     big *= x.kind.resistance_scale
-    t_inv, edges = path_chain_inverse(x.kind.path_vertices), np.arange(x.m)
-    for (a, sa), (b, sb) in itertools.product(enumerate(slots), repeat=2):
-        big[sa, sb][edges, edges] += t_inv[a, b]
+    path = np.array([ids[sl] for _, sl in class_slices(x.kind, x.n, x.m)[1:]])
+    big[path[:, None], path[None]] += path_chain_inverse(len(path))[:, :, None]
     return big
 
 
@@ -101,48 +111,48 @@ def build_structured_inverse(g: Graph, kind: TransformKind) -> StructuredOneInve
     return StructuredOneInverse(kind, g.n, g.m, lg_sharp, tail, head)
 
 
-def _column(x: StructuredOneInverse, c: VertexClass) -> tuple:
-    """(tail, head, head weight, slot, edge) of a P column; -1, -1 for originals."""
-    if flat_id(c, x.n, x.m, x.kind) < x.n:  # flat_id rejects a class outside X
-        return c.index, c.index, 0.0, -1, -1
-    slot, e = _PATH_ROLES.index(c.role), c.index
-    return int(x.tail[e]), int(x.head[e]), x.kind.path_weights[slot], slot, e
+def pair_resistances(x: StructuredOneInverse, i, j) -> np.ndarray:
+    """r = X_ii + X_jj - 2 X_ij at int arrays of flat ids, O(1) a pair; an id
+    outside X raises ValueError."""
+    ls, t_inv = x.lg_sharp, path_chain_inverse(x.kind.path_vertices)
 
+    def entry(a: tuple, b: tuple) -> np.ndarray:  # X[a, b]; T^-1 on one edge's path
+        (ua, va, wa, sa, ea), (ub, vb, wb, sb, eb) = a, b
+        value = x.kind.resistance_scale * (
+            (1.0 - wa) * ((1.0 - wb) * ls[ua, ub] + wb * ls[ua, vb])
+            + wa * ((1.0 - wb) * ls[va, ub] + wb * ls[va, vb])
+        )
+        return np.where((ea == eb) & (ea >= 0), value + t_inv[sa, sb], value)
 
-def _entry(x: StructuredOneInverse, a: tuple, b: tuple) -> float:
-    """X[a, b] for two columns from _column."""
-    (ua, va, wa, sa, ea), (ub, vb, wb, sb, eb) = a, b
-    ls = x.lg_sharp
-    value = x.kind.resistance_scale * (
-        (1.0 - wa) * ((1.0 - wb) * ls[ua, ub] + wb * ls[ua, vb])
-        + wa * ((1.0 - wb) * ls[va, ub] + wb * ls[va, vb])
-    )
-    if ea == eb >= 0:  # two path vertices of one edge
-        value += path_chain_inverse(x.kind.path_vertices)[sa, sb]
-    return float(value)
+    a, b = _columns(x, np.asarray(i)), _columns(x, np.asarray(j))
+    return entry(a, a) + entry(b, b) - 2.0 * entry(a, b)
 
 
 def resistance(x: StructuredOneInverse, i: VertexClass, j: VertexClass) -> float:
-    """Resistance distance r_ij = X_ii + X_jj - 2 X_ij, in O(1)."""
-    a, b = _column(x, i), _column(x, j)
-    return _entry(x, a, a) + _entry(x, b, b) - 2.0 * _entry(x, a, b)
+    """Resistance distance r_ij between two vertex classes, in O(1)."""
+    ids = [[flat_id(c, x.n, x.m, x.kind)] for c in (i, j)]  # rejects a class outside X
+    return float(pair_resistances(x, *ids)[0])
 
 
 def resistance_matrix(x: StructuredOneInverse) -> np.ndarray:
-    """All-pairs resistance distances r_ij = X_ii + X_jj - (X_ij + X_ji),
-    indexed by flat id.
+    """All-pairs resistance distances r_ij = (X_ii + X_jj) - (X_ij + X_ji),
+    indexed by flat id, in X's own storage: the one N x N array built.
 
-    X is the only other N x N array built; once X + X^T is taken, its storage
-    holds X_ii + X_jj.  Exactly symmetric with an exactly zero diagonal: both
-    triangles come from the same commutative sums.
+    Each panel of ``_ROWS`` rows takes X_ij + X_ji in both triangles and is
+    then overwritten by r; later panels read only rows and columns past it.
+    Exactly symmetric with an exactly zero diagonal: both triangles come from
+    the same commutative sums.
     """
     big = _assemble(x)
     d = np.diag(big).copy()
-    r = np.add(big, big.T)
-    np.add(d[:, None], d[None, :], out=big)
-    np.subtract(big, r, out=r)
-    np.fill_diagonal(r, 0.0)
-    return r
+    for lo in range(0, len(big), _ROWS):
+        rows = big[lo:lo + _ROWS]
+        s = rows[:, lo:] + big[lo:, lo:lo + _ROWS].T
+        rows[:, lo:] = s
+        big[lo:, lo:lo + _ROWS] = s.T
+        np.subtract(d[lo:lo + _ROWS, None] + d, rows, out=rows)
+    np.fill_diagonal(big, 0.0)
+    return big
 
 
 def kirchhoff(x: StructuredOneInverse) -> float:

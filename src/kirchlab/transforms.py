@@ -110,15 +110,21 @@ def flat_id(c: VertexClass, n: int, m: int, kind: TransformKind) -> int:
     return n + slot * m + c.index
 
 
-def classify(idx: int, n: int, m: int, kind: TransformKind) -> VertexClass:
-    """Inverse of flat_id."""
+def slot_edge(ids: np.ndarray, n: int, m: int, kind: TransformKind) -> tuple:
+    """(slot, edge) arrays of an int array of flat ids, vertex Path(slot + 1) of
+    the edge; -1, -1 for an original vertex."""
     total = kind.vertex_count(n, m)
-    if not 0 <= idx < total:
-        raise ValueError(f"vertex id {idx} out of range for {kind.value} ({total})")
-    if idx < n:
-        return VertexClass(VertexRole.ORIGINAL, idx)
-    slot, index = divmod(idx - n, m)
-    return VertexClass(_PATH_ROLES[slot], index)
+    bad = ids[(ids < 0) | (ids >= total)]
+    if bad.size:
+        raise ValueError(f"vertex id {bad[0]} out of range for {kind.value} ({total})")
+    # max(m, 1): without edges every valid id is an original
+    return tuple(np.where(ids < n, -1, v) for v in np.divmod(ids - n, max(m, 1)))
+
+
+def classify(idx: int, n: int, m: int, kind: TransformKind) -> VertexClass:
+    """Inverse of flat_id: slot_edge of one id."""
+    slot, edge = (int(v[0]) for v in slot_edge(np.array([idx]), n, m, kind))
+    return VertexClass(_PATH_ROLES[slot], edge) if slot >= 0 else original(idx)
 
 
 def class_slices(kind: TransformKind, n: int, m: int) -> list[tuple[VertexRole, slice]]:

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -44,6 +45,16 @@ def test_transform_pent_to_file(tmp_path, capsys):
     assert main(["transform", "--kind", "pent", path, "-o", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert out.read_text() == "5 5\n0 1\n0 2\n2 3\n3 4\n1 4\n"
+
+
+def test_transform_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    path = write_graph(tmp_path, K2_TEXT)
+    out = tmp_path / "missing_dir" / "out.txt"
+    assert main(["transform", path, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_transform_rejects_kind_none_flag(tmp_path, capsys):
@@ -154,6 +165,32 @@ def test_resist_writes_row_by_row(tmp_path, monkeypatch, fmt):
     assert n >= 200
     assert len(out.chunks) >= n
     assert max(out.chunks) <= 2 * len(text) / n
+
+
+def test_resist_holds_one_n_by_n_array(tmp_path, monkeypatch):
+    # the matrix is the only N x N array: the writer checks for rows that
+    # orjson cannot print a block of rows at a time
+    n, m = 46, 138
+    big = TransformKind("pent").vertex_count(n, m)
+    assert big >= 400
+    path = write_graph(tmp_path, seeded_graph_text(212, n, m))
+    with open(tmp_path / "r.json", "w", encoding="utf-8") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        tracemalloc.start()
+        try:
+            assert main(["resist", "--kind", "pent", path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert json.loads((tmp_path / "r.json").read_text())["n"] == big
+    # X, then r in its place; P, P^T L^# and copies; two panels of 64 rows
+    assert peak <= 8 * big**2 + 32 * n * big + 16 * 64 * big
+
+
+def test_write_matrix_finds_odd_rows_past_the_first_block(capsys):
+    r = np.tile(np.linspace(0.0, 7.5, 8), (3 * cli._ROWS, 1))
+    r[[cli._ROWS - 1, cli._ROWS, 2 * cli._ROWS + 5], 3] = (1e16, 5e-5, math.nan)
+    assert_writes_as_repr(capsys, r)
 
 
 # values where orjson's notation is not repr's, and the edges of its range

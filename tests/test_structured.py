@@ -17,15 +17,18 @@ from kirchlab.oracle import oracle_kirchhoff, oracle_resistance_matrix
 from kirchlab.structured import (
     build_structured_inverse,
     kirchhoff,
+    pair_resistances,
     path_chain_inverse,
     resistance,
     resistance_matrix,
 )
 from kirchlab.transforms import (
     TransformKind,
+    VertexRole,
     apply_transform,
     class_slices,
     classify,
+    flat_id,
     original,
     path1,
     path2,
@@ -255,8 +258,14 @@ def test_resistance_matrix_matches_full_at_size():
             assert (np.abs(r - ref) <= 1e-12 * np.abs(ref)).all()
 
 
-def test_resistance_matrix_holds_two_n_by_n_arrays():
-    # X and the result; P and P^T L^# are n x N and N x n
+def one_array_bound(n, big):
+    """Peak bytes of building the N x N resistance matrix: X, overwritten by
+    the result; P, P^T L^# and their copies (at most 32 n N); and two panels
+    of 64 rows."""
+    return 8 * big**2 + 32 * n * big + 16 * 64 * big
+
+
+def test_resistance_matrix_holds_one_n_by_n_array():
     rng = random.Random(4231)
     for n, m in RESIST_SIZES:
         g = random_connected_sized(rng, n, m)
@@ -269,7 +278,7 @@ def test_resistance_matrix_holds_two_n_by_n_arrays():
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 2 * 8 * big**2 + 64 * n * big
+            assert peak <= one_array_bound(n, big)
 
 
 def test_orientation_reversal_invariance():
@@ -409,23 +418,58 @@ def test_foster_theorem_beyond_oracle_size():
     g = random_connected_sized(random.Random(400), 400, 2000)
     x = build_structured_inverse(g, PENT)
     t = apply_transform(g, PENT)
-    total = sum(
-        resistance(
-            x, classify(u, g.n, g.m, PENT), classify(v, g.n, g.m, PENT)
-        )
-        for u, v in t.edges
-    )
+    tail, head = np.array(t.edges).T
+    total = pair_resistances(x, tail, head).sum()
     assert abs(total - (t.n - 1)) <= 1e-9 * t.n
+
+
+def reference_resistance(x, i, j):
+    """The scalar resistance before the column table, kept as the reference:
+    X entries from (tail, head, head weight, slot, edge) tuples."""
+    roles = (VertexRole.PATH1, VertexRole.PATH2, VertexRole.PATH3)
+
+    def column(c):
+        if flat_id(c, x.n, x.m, x.kind) < x.n:
+            return c.index, c.index, 0.0, -1, -1
+        slot, e = roles.index(c.role), c.index
+        return int(x.tail[e]), int(x.head[e]), x.kind.path_weights[slot], slot, e
+
+    def entry(a, b):
+        (ua, va, wa, sa, ea), (ub, vb, wb, sb, eb) = a, b
+        ls = x.lg_sharp
+        value = x.kind.resistance_scale * (
+            (1.0 - wa) * ((1.0 - wb) * ls[ua, ub] + wb * ls[ua, vb])
+            + wa * ((1.0 - wb) * ls[va, ub] + wb * ls[va, vb])
+        )
+        if ea == eb >= 0:
+            value += path_chain_inverse(x.kind.path_vertices)[sa, sb]
+        return float(value)
+
+    a, b = column(i), column(j)
+    return entry(a, a) + entry(b, b) - 2.0 * entry(a, b)
+
+
+def test_resistance_is_bit_identical_to_the_scalar_reference():
+    rng = random.Random(5151)
+    for _ in range(8):
+        g = random_connected(rng, rng.randint(2, 7))
+        for kind in (QUAD, PENT):
+            x = build_structured_inverse(g, kind)
+            vertices = [classify(i, g.n, g.m, kind) for i in range(x.total_vertices)]
+            for a in vertices:
+                for b in rng.sample(vertices, min(len(vertices), 12)):
+                    got, want = resistance(x, a, b), reference_resistance(x, a, b)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # ----------------------------------------------------------------- properties
 
 
 @st.composite
-def connected_graphs(draw):
-    """A connected graph on at most 10 vertices: a random tree plus extra
-    edges, in drawn order."""
-    n = draw(st.integers(2, 10))
+def connected_graphs(draw, n_max=10):
+    """A connected graph on at most ``n_max`` vertices: a random tree plus
+    extra edges, in drawn order."""
+    n = draw(st.integers(2, n_max))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     rest = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
     if rest:
@@ -497,6 +541,16 @@ def test_foster_theorem_on_the_resistance_matrix(g, kind):
     assert r[tail, head].sum() == pytest.approx(t.n - 1, rel=1e-12, abs=0.0)
 
 
+@PROPERTY
+@given(connected_graphs(n_max=12), st.sampled_from([QUAD, PENT]))
+def test_pair_kernel_matches_the_resistance_matrix(g, kind):
+    x = build_structured_inverse(g, kind)
+    r = resistance_matrix(x)
+    i, j = np.indices(r.shape)
+    got = pair_resistances(x, i.ravel(), j.ravel()).reshape(r.shape)
+    assert (np.abs(got - r) <= 1e-14 * np.abs(r).max()).all()
+
+
 # --------------------------------------------------------------------- errors
 
 
@@ -514,6 +568,15 @@ def test_rejects_path3_for_quadrilateral():
     x = build_structured_inverse(k2(), QUAD)
     with pytest.raises(ValueError):
         resistance(x, original(0), path3(0))
+
+
+def test_pair_kernel_rejects_ids_outside_x():
+    x = build_structured_inverse(k2(), QUAD)
+    for bad in (-1, x.total_vertices):
+        with pytest.raises(ValueError, match="out of range"):
+            pair_resistances(x, [0, bad], [1, 1])
+    none = np.zeros(0, dtype=np.int64)
+    assert pair_resistances(x, none, none).shape == (0,)
 
 
 def test_full_matrix_is_read_only():

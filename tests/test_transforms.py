@@ -1,6 +1,7 @@
 """Quadrilateral and pentagonal transforms, vertex classes, flat id layout."""
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,13 @@ def test_classify_round_trip():
             assert flat_id(c, n, m, kind) == idx
     assert classify(0, n, m, QUAD) == VertexClass(VertexRole.ORIGINAL, 0)
     assert classify(n + m, n, m, QUAD) == VertexClass(VertexRole.PATH2, 0)
+
+
+def test_classify_without_edges_is_exact():
+    # every valid id of an edgeless graph is an original; no division by m = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classify(0, 1, 0, QUAD) == VertexClass(VertexRole.ORIGINAL, 0)
 
 
 def test_classify_out_of_range():
