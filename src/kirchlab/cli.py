@@ -4,11 +4,11 @@ Commands: transform, resist, kirchhoff, verify, audit.  Exit codes: 0 on
 success, 1 when a verification or self-check misses its tolerance, 2 on bad
 input or usage.
 
-``resist`` writes the N x N matrix of the transform one row per write,
-each row formatted by one ``orjson`` call (shortest round-trip digits,
-40-60 ns per value).  Its json output is one line in orjson's compact form,
-the bytes of ``json.dumps(payload, separators=(",", ":"))``; csv and plain
-output print the same digits, one row per line.
+``resist`` writes the N x N resistance matrix one row per write, each row
+one ``orjson`` call (40-60 ns per value).  By Rayleigh's bound r_uv >=
+max(1/d_u, 1/d_v), every non-zero resistance is at least 1e-4 below degree
+10^4, where orjson prints ``repr``'s digits: json is the bytes of
+``json.dumps(payload, separators=(",", ":"))``; csv and plain print the same.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from .verify import GenerationBudgetError, audit_theorems, run_corpus
 
 # significant digits of a printed Kirchhoff index
 DIGITS = 12
-# rows per block of _write_matrix's odd-row check
-_ROWS = 64
 
 
 class UsageError(Exception):
@@ -68,35 +66,25 @@ def format_significant(value: float) -> str:
 def _write_matrix(r: np.ndarray, fmt: str, kind: str) -> None:
     """Write a float64 matrix as json, csv or plain text, one row per write.
 
-    Each row is one ``orjson`` call, which prints ``repr``'s shortest
-    round-trip digits but not its notation for non-zero |x| outside
-    [1e-4, 1e16) (``1e16`` for ``1e+16``) or for nan and inf (``null``);
-    rows holding such values, found ``_ROWS`` rows at a time, are joined
-    from ``repr``.  Either way a row is comma-separated text, framed per
-    format.  The json text is byte-equal to ``json.dumps({"kind", "n",
-    "matrix"}, separators=(",", ":"))`` for a finite matrix with at least one
-    row.
+    Each row is one ``orjson`` call, comma-separated and framed per format;
+    finite values parse back bit for bit.  The json text is byte-equal to
+    ``json.dumps({"kind", "n", "matrix"}, separators=(",", ":"))`` when the
+    non-zero values lie in [1e-4, 1e16): outside it orjson spells ``0.00005``
+    and ``1e16``, and nan or inf as ``null``.
     """
     import orjson
 
     dumps, option, write = orjson.dumps, orjson.OPT_SERIALIZE_NUMPY, sys.stdout.write
     head, between, end, sep = {
         "json": (f'{{"kind":{json.dumps(kind)},"n":{r.shape[0]},"matrix":[[',
-                 "],[", "]]}\n", b","),
-        "csv": ("", "\n", "\n", b","),
-        "plain": ("", "\n", "\n", b" "),
+                 "],[", "]]}\n", ","),
+        "csv": ("", "\n", "\n", ","),
+        "plain": ("", "\n", "\n", " "),
     }[fmt]
     write(head)
-    for lo in range(0, r.shape[0], _ROWS):
-        block = r[lo:lo + _ROWS]
-        a = np.abs(block)
-        odd = (((a < 1e-4) & (a != 0)) | ~(a < 1e16)).any(axis=1).tolist()
-        for i, (row, o) in enumerate(zip(block, odd), lo):
-            text = (",".join(map(repr, row.tolist())).encode() if o
-                    else dumps(row, option=option)[1:-1])
-            if sep != b",":
-                text = text.replace(b",", sep)
-            write((between if i else "") + text.decode())
+    for i, row in enumerate(r):
+        text = dumps(row, option=option)[1:-1].decode()
+        write((between if i else "") + (text if sep == "," else text.replace(",", sep)))
     write(end)
 
 

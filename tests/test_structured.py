@@ -1,6 +1,7 @@
 """Structured {1}-inverse engine: golden values, laws, oracle agreement."""
 
 import dataclasses
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -240,6 +241,27 @@ def test_resistance_matrix_is_exactly_symmetric_at_size():
             assert (np.diag(r) == 0.0).all()
 
 
+def complete_graph(n):
+    return Graph(n, tuple(itertools.combinations(range(n), 2)))
+
+
+def test_resistance_obeys_the_rayleigh_lower_bound():
+    # shorting every vertex of T but u leaves d_u parallel unit edges, so
+    # r_uv >= max(1/d_u, 1/d_v): resist prints no resistance below 1e-4
+    # unless two vertices of T have degree over 10^4
+    rng = random.Random(2311)
+    graphs = [random_connected(rng, rng.randint(2, 12), rng.choice((0.1, 0.3, 0.6)))
+              for _ in range(30)]
+    graphs += [complete_graph(n) for n in range(2, 10)]
+    for g in graphs:
+        for kind in (QUAD, PENT):
+            r = resistance_matrix(build_structured_inverse(g, kind))
+            inv_d = 1.0 / apply_transform(g, kind).degrees()
+            bound = np.maximum(inv_d[:, None], inv_d[None, :])
+            off = ~np.eye(r.shape[0], dtype=bool)
+            assert (r[off] >= bound[off]).all()
+
+
 # (n, m) with N = n + km from 210 (quad) to 460 (pent)
 RESIST_SIZES = ((30, 90), (38, 114), (46, 138))
 
@@ -397,6 +419,28 @@ def test_kirchhoff_matches_exact_paths_and_cycles(n):
             exact = kf_closed_form(kind, g.n, g.m, *invariants)
             got = kirchhoff(build_structured_inverse(g, kind))
             assert abs(F(got) - exact) <= F(1, 10**9) * exact
+
+
+# (graph, (Kf, R+, R*) of it): K_n has r_ij = 2/n, and the star S_n (centre 0,
+# n - 1 leaves) has r = 1 from the centre and 2 between leaves
+FAMILIES = {
+    "K": (complete_graph, lambda n: (n - 1, 2 * (n - 1) ** 2, (n - 1) ** 3)),
+    "S": (lambda n: Graph(n, tuple((0, v) for v in range(1, n))),
+          lambda n: ((n - 1) ** 2, (n - 1) * (3 * n - 4), (n - 1) * (2 * n - 3))),
+}
+
+
+@pytest.mark.parametrize("family, n", [("K", n) for n in (2, 3, 10, 50, 200, 400)]
+                         + [("S", n) for n in (2, 3, 10, 100, 1000)])
+def test_kirchhoff_matches_exact_complete_graphs_and_stars(family, n):
+    make, exact_invariants = FAMILIES[family]
+    g, invariants = make(n), exact_invariants(n)
+    if n <= 10:
+        assert np.allclose(degree_kirchhoff_indices(g), invariants, rtol=1e-12, atol=0)
+    for kind in (QUAD, PENT):
+        exact = kf_closed_form(kind, g.n, g.m, *map(F, invariants))
+        got = kirchhoff(build_structured_inverse(g, kind))
+        assert abs(F(got) - exact) <= F(1, 10**12) * exact
 
 
 def test_kirchhoff_allocates_factor_sized_memory_only():
