@@ -33,14 +33,11 @@ from .transforms import (
     VertexClass,
     VertexRole,
     apply_transform,
-    classify,
     flat_id,
     original,
     path1,
     path2,
     path3,
-    pentagonal,
-    quadrilateral,
 )
 from .verify import (
     AuditClause,
@@ -75,7 +72,6 @@ __all__ = [
     "apply_transform",
     "audit_theorems",
     "build_structured_inverse",
-    "classify",
     "compare",
     "flat_id",
     "graph_from_edges",
@@ -91,8 +87,6 @@ __all__ = [
     "path1",
     "path2",
     "path3",
-    "pentagonal",
-    "quadrilateral",
     "random_connected_graph",
     "render_edge_list",
     "resistance",

@@ -4,8 +4,8 @@ Works straight from the full Laplacian of whatever graph it is handed, with
 no knowledge of how that graph was built.  The pseudoinverse is numpy's
 ``pinv(hermitian=True)``, whose SVD numpy takes from the symmetric
 eigendecomposition ``eigh``.  That shares no factorization with the LU of
-``np.linalg.inv`` behind the group inverse in :mod:`kirchlab.linalg`, so
-agreement between the two is meaningful.
+the grounded Laplacian behind the group inverse in :mod:`kirchlab.linalg`,
+so agreement between the two is meaningful.
 """
 
 from __future__ import annotations

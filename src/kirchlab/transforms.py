@@ -53,9 +53,6 @@ class TransformKind(enum.Enum):
     def vertex_count(self, n: int, m: int) -> int:
         return n + self.path_vertices * m
 
-    def edge_count(self, m: int) -> int:
-        return (self.path_vertices + 2) * m
-
 
 class VertexRole(enum.Enum):
     ORIGINAL = "original"
@@ -121,12 +118,6 @@ def slot_edge(ids: np.ndarray, n: int, m: int, kind: TransformKind) -> tuple:
     return tuple(np.where(ids < n, -1, v) for v in np.divmod(ids - n, max(m, 1)))
 
 
-def classify(idx: int, n: int, m: int, kind: TransformKind) -> VertexClass:
-    """Inverse of flat_id: slot_edge of one id."""
-    slot, edge = (int(v[0]) for v in slot_edge(np.array([idx]), n, m, kind))
-    return VertexClass(_PATH_ROLES[slot], edge) if slot >= 0 else original(idx)
-
-
 def class_slices(kind: TransformKind, n: int, m: int) -> list[tuple[VertexRole, slice]]:
     """(role, slice of its flat ids) for each vertex class, in flat-id order."""
     return [(VertexRole.ORIGINAL, slice(0, n))] + [
@@ -153,13 +144,3 @@ def apply_transform(g: Graph, kind: TransformKind) -> Graph:
     ends[:, :, 0] = np.vstack([tail, tail, path[:-1], head]).T
     ends[:, :, 1] = np.vstack([head, path, path[-1:]]).T
     return _graph(total, ends.reshape(-1, 2))
-
-
-def quadrilateral(g: Graph) -> Graph:
-    """Quadrilateral transform: each edge becomes a 4-cycle."""
-    return apply_transform(g, TransformKind.QUADRILATERAL)
-
-
-def pentagonal(g: Graph) -> Graph:
-    """Pentagonal transform: each edge becomes a 5-cycle."""
-    return apply_transform(g, TransformKind.PENTAGONAL)

@@ -89,8 +89,9 @@ def test_group_inverse_disconnected_raises():
 
 
 def test_group_inverse_two_component_graphs_raise():
-    # L + J/n is exactly singular for two components, yet LAPACK inverts most
-    # of these without complaint: the inverse-size test is what flags them
+    # the grounded L_0 is exactly singular for two components, yet LAPACK
+    # inverts most of these without complaint: the inverse-size test is what
+    # flags them
     rng = random.Random(3000)
     inverted = 0
     for _ in range(300):
@@ -99,11 +100,23 @@ def test_group_inverse_two_component_graphs_raise():
         with pytest.raises(SingularMatrixError):
             group_inverse_laplacian(lap)
         try:
-            np.linalg.inv(lap + 1.0 / n)
+            np.linalg.inv(lap[:-1, :-1])
             inverted += 1
         except np.linalg.LinAlgError:
             pass
     assert inverted > 0
+
+
+def test_group_inverse_large_two_component_graphs_raise():
+    rng = random.Random(3001)
+    for _ in range(8):
+        n = rng.randint(100, 600)
+        with pytest.raises(SingularMatrixError):
+            group_inverse_laplacian(laplacian(two_components(rng, n, 0.5 * rng.random())))
+    # two disjoint paths P_1000: L_0 is singular on the ungrounded one
+    paths = tuple((i, i + 1) for i in range(2000 - 1) if i != 999)
+    with pytest.raises(SingularMatrixError):
+        group_inverse_laplacian(laplacian(Graph(2000, paths)))
 
 
 def test_group_inverse_input_validation():

@@ -25,19 +25,21 @@ from kirchlab.structured import (
 )
 from kirchlab.transforms import (
     TransformKind,
+    VertexClass,
     VertexRole,
     apply_transform,
     class_slices,
-    classify,
     flat_id,
     original,
     path1,
     path2,
     path3,
+    slot_edge,
 )
 
 QUAD = TransformKind.QUADRILATERAL
 PENT = TransformKind.PENTAGONAL
+PATH_ROLES = (VertexRole.PATH1, VertexRole.PATH2, VertexRole.PATH3)
 
 
 def k2():
@@ -341,7 +343,9 @@ def test_resistance_matches_matrix_for_every_class_pair():
         for kind in (QUAD, PENT):
             x = build_structured_inverse(g, kind)
             r = resistance_matrix(x)
-            vertices = [classify(i, g.n, g.m, kind) for i in range(r.shape[0])]
+            slot, edge = slot_edge(np.arange(r.shape[0]), g.n, g.m, kind)
+            vertices = [original(i) if j < 0 else VertexClass(PATH_ROLES[j], e)
+                        for i, (j, e) in enumerate(zip(slot.tolist(), edge.tolist()))]
             for a, va in enumerate(vertices):
                 for b, vb in enumerate(vertices):
                     assert abs(resistance(x, va, vb) - r[a, b]) <= 1e-12
@@ -403,22 +407,37 @@ def path_degree_kirchhoff_indices(n):
     return F(n**3 - n, 6), F(r_plus), F(r_star2, 2)
 
 
-@pytest.mark.parametrize("n", [100, 1000, 2000])
-def test_kirchhoff_matches_exact_paths_and_cycles(n):
-    # Kf(P_n) = (n^3 - n)/6; C_n is 2-regular with Kf = (n^3 - n)/12, so
-    # R+ = R* = 4 Kf.  The engine's relative error grows about like n^2
-    # (README), 7.7e-11 on P_2000
+def path_and_cycle(n):
+    """(graph, exact (Kf, R+, R*)) of P_n, then of C_n.  Kf(P_n) = (n^3 - n)/6;
+    C_n is 2-regular with Kf = (n^3 - n)/12, so R+ = R* = 4 Kf."""
     path = tuple((i, i + 1) for i in range(n - 1))
     cycle_kf = F(n**3 - n, 12)
-    families = (
+    return (
         (Graph(n, path), path_degree_kirchhoff_indices(n)),
         (Graph(n, path + ((0, n - 1),)), (cycle_kf, 4 * cycle_kf, 4 * cycle_kf)),
     )
-    for g, invariants in families:
+
+
+@pytest.mark.parametrize("n", [100, 1000, 2000])
+def test_kirchhoff_matches_exact_paths_and_cycles(n):
+    # a loose bound that holds even for an L# route whose error grows like
+    # cond(L), about 4n^2/pi^2 on a path
+    for g, invariants in path_and_cycle(n):
         for kind in (QUAD, PENT):
             exact = kf_closed_form(kind, g.n, g.m, *invariants)
             got = kirchhoff(build_structured_inverse(g, kind))
             assert abs(F(got) - exact) <= F(1, 10**9) * exact
+
+
+@pytest.mark.parametrize("n", [100, 1000, 2000])
+def test_kirchhoff_of_paths_and_cycles_at_rounding_level(n):
+    # L# from the grounded Laplacian: errors up to 2.1e-16 on P_n and 1.3e-13
+    # on C_2000 (README)
+    for (g, invariants), rtol in zip(path_and_cycle(n), (F(1, 10**14), F(1, 10**12))):
+        for kind in (QUAD, PENT):
+            exact = kf_closed_form(kind, g.n, g.m, *invariants)
+            got = kirchhoff(build_structured_inverse(g, kind))
+            assert abs(F(got) - exact) <= rtol * exact
 
 
 # (graph, (Kf, R+, R*) of it): K_n has r_ij = 2/n, and the star S_n (centre 0,
@@ -470,12 +489,11 @@ def test_foster_theorem_beyond_oracle_size():
 def reference_resistance(x, i, j):
     """The scalar resistance before the column table, kept as the reference:
     X entries from (tail, head, head weight, slot, edge) tuples."""
-    roles = (VertexRole.PATH1, VertexRole.PATH2, VertexRole.PATH3)
 
     def column(c):
         if flat_id(c, x.n, x.m, x.kind) < x.n:
             return c.index, c.index, 0.0, -1, -1
-        slot, e = roles.index(c.role), c.index
+        slot, e = PATH_ROLES.index(c.role), c.index
         return int(x.tail[e]), int(x.head[e]), x.kind.path_weights[slot], slot, e
 
     def entry(a, b):
@@ -499,7 +517,9 @@ def test_resistance_is_bit_identical_to_the_scalar_reference():
         g = random_connected(rng, rng.randint(2, 7))
         for kind in (QUAD, PENT):
             x = build_structured_inverse(g, kind)
-            vertices = [classify(i, g.n, g.m, kind) for i in range(x.total_vertices)]
+            slot, edge = slot_edge(np.arange(x.total_vertices), g.n, g.m, kind)
+            vertices = [original(i) if j < 0 else VertexClass(PATH_ROLES[j], e)
+                        for i, (j, e) in enumerate(zip(slot.tolist(), edge.tolist()))]
             for a in vertices:
                 for b in rng.sample(vertices, min(len(vertices), 12)):
                     got, want = resistance(x, a, b), reference_resistance(x, a, b)

@@ -14,14 +14,12 @@ from kirchlab.transforms import (
     VertexRole,
     apply_transform,
     class_slices,
-    classify,
     flat_id,
     original,
     path1,
     path2,
     path3,
-    pentagonal,
-    quadrilateral,
+    slot_edge,
 )
 
 QUAD = TransformKind.QUADRILATERAL
@@ -36,13 +34,19 @@ def p3():
     return Graph(3, ((0, 1), (1, 2)))
 
 
+def _roles(kind):
+    """The vertex roles of ``kind`` in flat-id order; role j + 1 is slot j."""
+    roles = [VertexRole.ORIGINAL, VertexRole.PATH1, VertexRole.PATH2, VertexRole.PATH3]
+    return roles[: 1 + kind.path_vertices]
+
+
 def random_graph(rng, n, p):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, tuple(edges))
 
 
 def test_quadrilateral_k2_is_a_4_cycle():
-    g = quadrilateral(k2())
+    g = apply_transform(k2(), QUAD)
     assert g.n == 4 and g.m == 4
     assert g.edges == ((0, 1), (0, 2), (2, 3), (1, 3))
     assert g.degrees().tolist() == [2, 2, 2, 2]
@@ -50,7 +54,7 @@ def test_quadrilateral_k2_is_a_4_cycle():
 
 
 def test_pentagonal_k2_is_a_5_cycle():
-    g = pentagonal(k2())
+    g = apply_transform(k2(), PENT)
     assert g.n == 5 and g.m == 5
     assert g.edges == ((0, 1), (0, 2), (2, 3), (3, 4), (1, 4))
     assert g.degrees().tolist() == [2, 2, 2, 2, 2]
@@ -58,21 +62,21 @@ def test_pentagonal_k2_is_a_5_cycle():
 
 
 def test_p3_counts():
-    assert (quadrilateral(p3()).n, quadrilateral(p3()).m) == (7, 8)
-    assert (pentagonal(p3()).n, pentagonal(p3()).m) == (9, 10)
+    for kind, counts in ((QUAD, (7, 8)), (PENT, (9, 10))):
+        t = apply_transform(p3(), kind)
+        assert (t.n, t.m) == counts
 
 
 def test_edgeless_graph_maps_to_itself():
     g = Graph(4, ())
-    assert quadrilateral(g) == g
-    assert pentagonal(g) == g
+    assert apply_transform(g, QUAD) == g
+    assert apply_transform(g, PENT) == g
 
 
 def test_kind_properties():
     assert QUAD.path_vertices == 2 and PENT.path_vertices == 3
     assert QUAD.resistance_scale == 0.75 and PENT.resistance_scale == 0.8
-    assert QUAD.vertex_count(3, 2) == 7 and QUAD.edge_count(2) == 8
-    assert PENT.vertex_count(3, 2) == 9 and PENT.edge_count(2) == 10
+    assert QUAD.vertex_count(3, 2) == 7 and PENT.vertex_count(3, 2) == 9
 
 
 # -------------------------------------------------------------- vertex classes
@@ -98,28 +102,36 @@ def test_flat_id_rejects_out_of_range():
         flat_id(path1(2), 3, 2, QUAD)
 
 
-def test_classify_round_trip():
+def test_slot_edge_round_trip():
+    # every vertex class maps to its flat id and back to (role slot, index)
     n, m = 4, 5
     for kind in (QUAD, PENT):
-        for idx in range(kind.vertex_count(n, m)):
-            c = classify(idx, n, m, kind)
-            assert flat_id(c, n, m, kind) == idx
-    assert classify(0, n, m, QUAD) == VertexClass(VertexRole.ORIGINAL, 0)
-    assert classify(n + m, n, m, QUAD) == VertexClass(VertexRole.PATH2, 0)
+        roles = _roles(kind)
+        classes = [original(k) for k in range(n)]
+        classes += [VertexClass(role, i) for role in roles[1:] for i in range(m)]
+        ids = np.array([flat_id(c, n, m, kind) for c in classes])
+        assert ids.tolist() == list(range(kind.vertex_count(n, m)))
+        slot, edge = slot_edge(ids, n, m, kind)
+        want = [(roles.index(c.role) - 1, c.index if c.role in roles[1:] else -1)
+                for c in classes]
+        assert list(zip(slot.tolist(), edge.tolist())) == want
+    slot, edge = slot_edge(np.array([0, n + m]), n, m, QUAD)
+    assert slot.tolist() == [-1, 1] and edge.tolist() == [-1, 0]
 
 
-def test_classify_without_edges_is_exact():
+def test_slot_edge_without_edges_is_exact():
     # every valid id of an edgeless graph is an original; no division by m = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert classify(0, 1, 0, QUAD) == VertexClass(VertexRole.ORIGINAL, 0)
+        slot, edge = slot_edge(np.array([0]), 1, 0, QUAD)
+    assert slot.tolist() == edge.tolist() == [-1]
 
 
-def test_classify_out_of_range():
-    with pytest.raises(ValueError):
-        classify(7, 3, 2, QUAD)
-    with pytest.raises(ValueError):
-        classify(-1, 3, 2, QUAD)
+def test_slot_edge_out_of_range():
+    with pytest.raises(ValueError, match=r"^vertex id 7 out of range for quad \(7\)$"):
+        slot_edge(np.array([0, 7]), 3, 2, QUAD)
+    with pytest.raises(ValueError, match=r"^vertex id -1 out of range for quad \(7\)$"):
+        slot_edge(np.array([-1]), 3, 2, QUAD)
 
 
 # ------------------------------------------------------------ structure checks
@@ -130,8 +142,8 @@ def test_degree_law_random():
     rng = random.Random(3111)
     for _ in range(30):
         g = random_graph(rng, rng.randint(2, 9), 0.5)
-        for kind, tg in ((QUAD, quadrilateral(g)), (PENT, pentagonal(g))):
-            deg = tg.degrees()
+        for kind in (QUAD, PENT):
+            deg = apply_transform(g, kind).degrees()
             assert np.array_equal(deg[: g.n], 2 * g.degrees())
             assert np.all(deg[g.n :] == 2) or g.m == 0
 
@@ -140,8 +152,8 @@ def test_connectivity_preserved_random():
     rng = random.Random(845)
     for _ in range(30):
         g = random_graph(rng, rng.randint(2, 9), 0.4)
-        assert is_connected(quadrilateral(g)) == is_connected(g)
-        assert is_connected(pentagonal(g)) == is_connected(g)
+        assert is_connected(apply_transform(g, QUAD)) == is_connected(g)
+        assert is_connected(apply_transform(g, PENT)) == is_connected(g)
 
 
 def test_quadrilateral_laplacian_block_form():
@@ -163,7 +175,7 @@ def test_quadrilateral_laplacian_block_form():
                 [-b2.T, -eye, 2.0 * eye],
             ]
         )
-        assert np.array_equal(laplacian(quadrilateral(g)), expected)
+        assert np.array_equal(laplacian(apply_transform(g, QUAD)), expected)
 
 
 def test_pentagonal_laplacian_block_form():
@@ -187,24 +199,31 @@ def test_pentagonal_laplacian_block_form():
                 [-b2.T, zero, -eye, 2.0 * eye],
             ]
         )
-        assert np.array_equal(laplacian(pentagonal(g)), expected)
+        assert np.array_equal(laplacian(apply_transform(g, PENT)), expected)
 
 
 def test_apply_transform_dispatch():
-    assert apply_transform(k2(), QUAD) == quadrilateral(k2())
-    assert apply_transform(k2(), PENT) == pentagonal(k2())
+    # each kind adds its k path vertices per edge and turns m edges into (k + 2)m
+    rng = random.Random(62)
+    for _ in range(10):
+        g = random_graph(rng, rng.randint(2, 8), 0.5)
+        for kind in (QUAD, PENT):
+            t = apply_transform(g, kind)
+            assert t.n == kind.vertex_count(g.n, g.m)
+            assert t.m == (kind.path_vertices + 2) * g.m
 
 
 @pytest.mark.parametrize("kind", [QUAD, PENT])
 @pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (5, 7), (4, 1)])
 def test_class_slices_tile_the_flat_ids_by_role(kind, n, m):
     slices = class_slices(kind, n, m)
-    roles = [VertexRole.ORIGINAL, VertexRole.PATH1, VertexRole.PATH2, VertexRole.PATH3]
-    assert [role for role, _ in slices] == roles[: 1 + kind.path_vertices]
+    roles = _roles(kind)
+    assert [role for role, _ in slices] == roles
     ids = [i for _, sl in slices for i in range(sl.start, sl.stop)]
     assert ids == list(range(kind.vertex_count(n, m)))
     for role, sl in slices:
-        assert {classify(i, n, m, kind).role for i in range(sl.start, sl.stop)} == {role}
+        slot, _ = slot_edge(np.arange(sl.start, sl.stop), n, m, kind)
+        assert set(slot.tolist()) == {roles.index(role) - 1}
 
 
 def test_class_slices_stay_out_of_the_public_api():
